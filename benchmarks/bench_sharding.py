@@ -7,13 +7,16 @@ per (S, budget): total charged cost, fallbacks, queries with at least one
 degraded slice, degraded slices, and the degradation *rate* (degraded
 slices / total slices).  Two claims under test:
 
-* **cost** — fan-out overhead is modest: every shard pays its own planner
-  probes, so total cost grows mildly with S, while per-shard work (and
-  therefore tail latency in a parallel deployment) shrinks;
+* **cost** — the fan-out runs only the shards whose bounding box meets the
+  query rectangle (the rest are pruned at zero cost), and every shard that
+  runs pays its own planner probes, so total cost depends on how many
+  shards a window touches, while per-shard work (and therefore tail
+  latency in a parallel deployment) shrinks;
 * **degradation isolation** — under a tight budget a monolithic engine
-  degrades whole queries; the sharded engine degrades only the slices whose
-  share ran out, and answers stay exact either way (asserted against brute
-  force on a sample).
+  degrades whole queries; the sharded engine splits the budget exactly over
+  the shards that run and degrades only the slices whose share ran out, and
+  answers stay exact either way (asserted against brute force on a
+  sample).  Pruned slices count in ``deg_rate_pct``'s denominator.
 
 ``python benchmarks/bench_sharding.py --quick`` runs a tiny configuration
 (CI smoke: no results file is written); the committed

@@ -4,16 +4,16 @@ Importable machinery behind ``benchmarks/bench_async_serving.py`` and the
 CLI's ``bench-serve`` subcommand.  Two experiments:
 
 **Fan-out** (:func:`bench_fanout`).  A selective-rectangle workload is
-served twice over the same sharded dataset — sequentially through
-:class:`~repro.service.ShardedQueryEngine` and concurrently through
-:class:`~repro.service.AsyncQueryEngine` — and wall-clock is compared.
-Unlike the cost-unit experiments, wall-clock is the honest metric here: the
-concurrent path wins by (a) pruning shards whose bounding box misses the
-query rectangle (work the sequential loop performs to keep its pinned trace
-shape) and (b) overlapping the remaining shard queries on the worker pool,
-which on a multi-core host adds true parallelism.  The per-row ``pruned``
-column reports how much of the win came from pruning, so single-core runs
-stay interpretable.  Both paths are asserted result-identical per query.
+served twice over the same sharded dataset by the same fan-out plan — with
+the shards run inline by :class:`~repro.service.ShardedQueryEngine` and on
+the worker pool of :class:`~repro.service.AsyncQueryEngine` — and
+wall-clock is compared.  Unlike the cost-unit experiments, wall-clock is
+the honest metric here.  Both paths prune the shards whose bounding box
+misses the query rectangle (the per-row ``pruned_pct`` column) and split
+the budget identically, so the speedup isolates the executor: overlapping
+shard queries on the pool adds true parallelism only on a multi-core host,
+while every pooled shard call pays a thread hand-off.  Both paths are
+asserted result-identical per query.
 
 **Mixed churn** (:func:`bench_mixed`).  Sustained concurrent read/write
 traffic over :class:`~repro.service.AsyncDynamicIndex`: one writer streams
@@ -69,7 +69,7 @@ def bench_fanout(
     seed: int = 7,
     repeats: int = 3,
 ) -> Dict[str, Any]:
-    """One row: sequential vs concurrent fan-out over the same workload.
+    """One row: inline vs pooled fan-out over the same workload.
 
     Caches are disabled on both engines so both serve every query; the
     best-of-``repeats`` wall-clock is reported for each path.  Raises if

@@ -7,17 +7,20 @@ accounting together by hand.  This package is that layer for :mod:`repro`:
 * :class:`QueryEngine` — fronts :class:`~repro.core.multi_k.MultiKOrpIndex`
   and :class:`~repro.core.planner.HybridPlanner`, executes single and batched
   queries under an explicit cost budget, and degrades gracefully (budget
-  blow-ups become recorded fallbacks, never exceptions);
+  blow-ups become recorded fallbacks, never exceptions); it shares its
+  validation, cache-hit record, finish step and read side with the sharded
+  engine through ``ServingBase``;
 * :class:`LRUCache` — bounded result cache with hit/miss accounting;
 * :class:`QueryRecord` — per-query observability record (strategy chosen,
   fallbacks taken, cost snapshot, cache status, per-shard slices),
   exportable as JSON;
 * :class:`ShardedQueryEngine` / :func:`partition_dataset` — spatial
-  sharding: median kd-split partitioning, one engine per shard, budget
-  split with redistribution, merged cost traces;
+  sharding: median kd-split partitioning, one engine per shard, and one
+  fan-out plan (prune shards by bounding box, split the budget exactly
+  with :func:`split_budget_exact`, merge cost traces);
 * :class:`AsyncQueryEngine` / :class:`AdmissionController` — asyncio front
-  end: bounded in-flight cost with budget-machinery shedding, concurrent
-  per-shard fan-out with bounding-box pruning;
+  end: bounded in-flight cost with budget-machinery shedding; runs the
+  same fan-out plan with its shards on a worker pool;
 * :class:`AsyncDynamicIndex` / :class:`Snapshot` / :class:`SnapshotManager`
   — snapshot-isolated serving over the dynamized index (writers publish
   immutable epochs, readers pin them lock-free).
@@ -26,7 +29,7 @@ accounting together by hand.  This package is that layer for :mod:`repro`:
 from .async_engine import AdmissionController, AsyncDynamicIndex, AsyncQueryEngine
 from .cache import LRUCache
 from .engine import QueryEngine, QueryRecord
-from .sharding import ShardedQueryEngine, partition_dataset, shard_share, split_budget_exact
+from .sharding import ShardedQueryEngine, partition_dataset, split_budget_exact
 from .snapshots import Snapshot, SnapshotManager
 
 __all__ = [
@@ -40,6 +43,5 @@ __all__ = [
     "Snapshot",
     "SnapshotManager",
     "partition_dataset",
-    "shard_share",
     "split_budget_exact",
 ]

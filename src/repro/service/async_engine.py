@@ -15,15 +15,14 @@ fires and the query is *shed* — refused up front with a
 instead of being allowed to pile latency onto everything already running.
 
 **Concurrent shard fan-out** (:class:`AsyncQueryEngine` over a
-:class:`~repro.service.sharding.ShardedQueryEngine`).  The sequential
-per-shard loop becomes a worker-pool fan-out: every shard whose bounding box
-intersects the query rectangle runs concurrently (one worker thread each,
-per-shard locks serializing same-shard access), shards whose bounds miss the
-rectangle are pruned outright, and the budget is fixed upfront with the
-exact split :func:`~repro.service.sharding.split_budget_exact` (concurrent
-shards cannot redistribute a straggler pool).  Results, costs, and traces
-merge back on the event-loop thread through the same finish path as the
-sequential engine, so records and metrics stay comparable.
+:class:`~repro.service.sharding.ShardedQueryEngine`).  The front end runs
+the sharded engine's own fan-out plan (:class:`~repro.service.sharding.
+Fanout`: pin, cache, prune, exact budget split, merge, finish) and changes
+only the executor: the shards that run are dispatched to a worker pool,
+one thread each, with per-shard locks serializing same-shard access.
+Planning, merging and finishing stay on the event-loop thread.  The front
+end holds no fan-out logic of its own, so a query served here gets the
+same results, cost, slices and degraded flags as one served inline.
 
 **Snapshot isolation** (:class:`AsyncDynamicIndex` over a
 :class:`~repro.core.dynamic.DynamicOrpKw`).  Writers serialize behind an
@@ -35,7 +34,7 @@ a duplicated oid, or an empty bucket window.
 Everything CPU-bound runs in a shared :class:`~concurrent.futures.
 ThreadPoolExecutor`; the event loop only validates, admits, merges, and
 records.  Correctness is pinned differentially: under a quiesced writer the
-async engine returns byte-identical results to the synchronous engines.
+async engine returns the synchronous engines' results and records.
 """
 
 from __future__ import annotations
@@ -45,16 +44,16 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
-from ..costmodel import CostCounter, ensure_counter
+from ..costmodel import CostCounter
 from ..dataset import KeywordObject
 from ..errors import BudgetExceeded, ValidationError
 from ..geometry.rectangles import Rect
 from ..telemetry.events import EventLog
 from ..telemetry.sampler import TailSampler
 from ..telemetry.slo import SLOMonitor, SloShed
-from ..trace import MetricsRegistry, Tracer
+from ..trace import MetricsRegistry
 from .engine import QueryEngine, QueryRecord
-from .sharding import ShardedQueryEngine, split_budget_exact
+from .sharding import Fanout, ShardedQueryEngine
 from .snapshots import Snapshot, SnapshotManager
 
 #: Reservation charged for an unbudgeted query (cost units).  Unbudgeted
@@ -151,9 +150,9 @@ class AsyncQueryEngine:
     engine:
         A :class:`~repro.service.engine.QueryEngine` or
         :class:`~repro.service.sharding.ShardedQueryEngine`.  Sharded
-        engines get the concurrent fan-out; plain engines are served from
-        the pool one query at a time (their caches and record deques are
-        not thread-safe).
+        engines run their fan-out plan with the shards on the pool; plain
+        engines are served from the pool one query at a time (their caches
+        and record deques are not thread-safe).
     max_inflight_cost:
         Admission-control bound on the summed budget reservations of all
         in-flight queries; ``None`` admits everything.
@@ -162,7 +161,8 @@ class AsyncQueryEngine:
     metrics:
         Registry for the serving gauges/counters (in-flight, admitted,
         shed); private by default.  The wrapped engine keeps feeding its
-        own registry exactly as in synchronous serving.
+        own registry exactly as in synchronous serving (fan-out counters
+        such as ``shards_pruned_total`` included).
     events:
         Shared :class:`~repro.telemetry.EventLog`; the front end emits
         ``query_shed`` here and attaches the log to the wrapped engine
@@ -201,17 +201,14 @@ class AsyncQueryEngine:
             engine.attach_events(events)
         self.admission = AdmissionController(max_inflight_cost, slo=slo)
         self._sharded = isinstance(engine, ShardedQueryEngine)
-        if max_workers is None:
-            max_workers = engine.num_shards if self._sharded else 1
+        shards = engine.num_shards if self._sharded else 1
         self._pool = ThreadPoolExecutor(
-            max_workers=max_workers, thread_name_prefix="repro-serve"
+            max_workers=shards if max_workers is None else max_workers,
+            thread_name_prefix="repro-serve",
         )
-        if self._sharded:
-            self._shard_locks = [
-                threading.Lock() for _ in engine.shard_engines
-            ]
-        else:
-            self._engine_lock = threading.Lock()
+        # One lock per shard (a plain engine is one shard): same-shard calls
+        # never overlap, so an engine's record is read back by its own query.
+        self._locks = [threading.Lock() for _ in range(shards)]
         self._shed_count = 0
 
     # -- lifecycle ---------------------------------------------------------------
@@ -260,15 +257,9 @@ class AsyncQueryEngine:
             raise
         self.metrics.counter("admitted_total").inc()
         self._meter_inflight()
+        serve = self._query_sharded if self._sharded else self._query_plain
         try:
-            if self._sharded:
-                results, record = await self._query_sharded(
-                    rect, keywords, budget, counter
-                )
-            else:
-                results, record = await self._query_plain(
-                    rect, keywords, budget, counter
-                )
+            results, record = await serve(rect, keywords, budget, counter)
         finally:
             self.admission.release(reservation)
             self._meter_inflight()
@@ -379,7 +370,7 @@ class AsyncQueryEngine:
         loop = asyncio.get_running_loop()
 
         def run() -> Tuple[Tuple[KeywordObject, ...], QueryRecord]:
-            with self._engine_lock:
+            with self._locks[0]:
                 results = self.engine.query(
                     rect, keywords, budget=budget, counter=counter
                 )
@@ -394,145 +385,27 @@ class AsyncQueryEngine:
         budget: Optional[int],
         counter: Optional[CostCounter],
     ) -> Tuple[Tuple[KeywordObject, ...], QueryRecord]:
-        """Concurrent fan-out with pruning and an exact upfront budget split.
+        """The sharded engine's fan-out plan with its shard calls on the pool.
 
-        Validation, cache, merging, and recording all happen on the loop
-        thread (the engine's bookkeeping is not thread-safe); only the
-        per-shard queries run on the pool, each under its shard's lock.
+        Planning, merging and finishing stay on the loop thread (the
+        engine's bookkeeping is not thread-safe).
         """
-        engine: ShardedQueryEngine = self.engine
-        loop = asyncio.get_running_loop()
-        rect, words = engine._validate(rect, keywords)
-        caller = ensure_counter(counter)
-        # Pin the published shard map once (on the loop thread): pruning,
-        # budget split, shard queries, and the cache key all run against one
-        # consistent layout even if a writer publishes an insert or a
-        # rebalance cutover mid-flight.
-        state = engine._state
-        num_shards = len(state.engines)
-        engine._queries_served += 1
-        query_id = engine._queries_served
-        engine.metrics.counter("queries_total").inc()
+        plan = Fanout(self.engine, rect, keywords, budget, counter)
+        if plan.results is None:
+            # A rebalance may have grown the shard count since construction;
+            # extend the lock list on the loop thread before dispatching.
+            while len(self._locks) < len(plan.state.engines):
+                self._locks.append(threading.Lock())
 
-        tracer: Optional[Tracer] = None
-        if engine.tracing:
-            tracer = Tracer(
-                "sharded_query", "sharding",
-                query_id=query_id, shards=num_shards, fanout="async",
-            )
+            def run(shard_id: int):
+                with self._locks[shard_id]:
+                    return plan.run(shard_id)
 
-        key = (state.epoch_id, rect.lo, rect.hi, frozenset(words))
-        cached, hit = engine._cache.lookup(key)
-        if hit:
-            # No await between the finish call and the last_record read, so
-            # the record is this query's own.
-            results = engine._finish_cache_hit(
-                query_id, rect, words, budget, cached, tracer
-            )
-            return results, engine.last_record
-        engine.metrics.counter("cache_misses_total").inc()
-
-        # Prune shards whose bounding box misses the rectangle (empty shards
-        # have no box and are always pruned).  The pinned map's bounds are
-        # refreshed on every publish, so a shard holding freshly inserted
-        # objects outside its build-time box is never pruned away.  The
-        # budget is split exactly over the shards that actually run.
-        active = [
-            shard_id
-            for shard_id, bounds in enumerate(state.bounds)
-            if bounds is not None and rect.intersects(bounds)
-        ]
-        shares: Dict[int, Optional[int]]
-        if budget is None:
-            shares = {shard_id: None for shard_id in active}
-        else:
-            shares = dict(
-                zip(active, split_budget_exact(budget, max(len(active), 1)))
-            )
-        self.metrics.counter("shards_pruned_total").inc(
-            num_shards - len(active)
-        )
-        # A rebalance may have grown the shard count since construction;
-        # extend the lock list on the loop thread before dispatching.
-        while len(self._shard_locks) < num_shards:
-            self._shard_locks.append(threading.Lock())
-
-        def run_shard(shard_id: int):
-            share = shares[shard_id]
-            # One tracer per worker (tracers are single-stack); its finished
-            # spans are grafted into the fan-out tree on the loop thread.
-            shard_tracer = (
-                Tracer("fanout", "sharding") if tracer is not None else None
-            )
-            with self._shard_locks[shard_id]:
-                objs, probe, record = engine._query_shard(
-                    state,
-                    shard_id,
-                    rect,
-                    words,
-                    share,
-                    shard_tracer,
-                )
-            return shard_id, objs, probe, record, shard_tracer
-
-        outcomes = await asyncio.gather(
-            *(
-                loop.run_in_executor(self._pool, run_shard, shard_id)
-                for shard_id in active
-            )
-        )
-
-        spent = CostCounter()
-        fallbacks: List[Dict[str, Any]] = []
-        slices: List[Dict[str, Any]] = []
-        merged: List[KeywordObject] = []
-        by_shard = {outcome[0]: outcome for outcome in outcomes}
-        for shard_id in range(num_shards):
-            if shard_id not in by_shard:
-                slices.append(
-                    {
-                        "shard_id": shard_id,
-                        "strategy": "pruned",
-                        "budget": 0,
-                        "cost": 0,
-                        "degraded": False,
-                    }
-                )
-                continue
-            _, objs, probe, record, shard_tracer = by_shard[shard_id]
-            merged.extend(objs)
-            for fallback in record.fallbacks:
-                fallbacks.append(dict(fallback, shard=shard_id))
-            slices.append(
-                {
-                    "shard_id": shard_id,
-                    "strategy": record.strategy,
-                    "budget": shares[shard_id],
-                    "cost": probe.total,
-                    "degraded": record.degraded,
-                }
-            )
-            spent.merge(probe)
-            if tracer is not None and shard_tracer is not None:
-                for child in shard_tracer.finish().children:
-                    tracer.root.graft(child)
-
-        results = engine._merge_results(merged)
-        results = engine._finish_fanout(
-            query_id=query_id,
-            rect=rect,
-            words=words,
-            budget=budget,
-            spent=spent,
-            fallbacks=fallbacks,
-            slices=slices,
-            results=results,
-            caller=caller,
-            tracer=tracer,
-            cache_key=key,
-        )
-        # Synchronous finish on the loop thread: last_record is this query's.
-        return results, engine.last_record
+            loop = asyncio.get_running_loop()
+            outcomes = [loop.run_in_executor(self._pool, run, s) for s in plan.active]
+            plan.finish(await asyncio.gather(*outcomes))
+        # Nothing awaited since the finish: last_record is this query's.
+        return plan.results, self.engine.last_record
 
     # -- observability -----------------------------------------------------------
 

@@ -58,6 +58,8 @@ class QueryRecord:
     budget: Optional[int]
     #: Which execution backend served the query ("cost_model" or
     #: "vectorized"; for an ``auto`` engine this is the resolved choice).
+    #: A fanned-out query records the sharded engine's configured backend;
+    #: each shard resolves ``auto`` on its own.
     backend: str = "cost_model"
     degraded: bool = False
     fallbacks: List[Dict[str, Any]] = field(default_factory=list)
@@ -104,7 +106,358 @@ class QueryRecord:
         return json.dumps(self.to_dict(), sort_keys=True)
 
 
-class QueryEngine:
+def _bounding_rect(dataset: Dataset) -> Optional[Rect]:
+    """Tightest axis-aligned box around ``dataset`` (``None`` when empty)."""
+    if not len(dataset):
+        return None
+    points = [obj.point for obj in dataset.objects]
+    lo = tuple(min(p[axis] for p in points) for axis in range(dataset.dim))
+    hi = tuple(max(p[axis] for p in points) for axis in range(dataset.dim))
+    return Rect(lo, hi)
+
+
+class ServingBase:
+    """What :class:`QueryEngine` and
+    :class:`~repro.service.sharding.ShardedQueryEngine` share: one query
+    validation, one cache-hit record, one finish step (cache put, record,
+    tallies, registry metrics, :class:`StatsCollector`, events, caller
+    accounting) and the read side.  A subclass sets ``dataset`` and
+    ``max_k``, calls :meth:`_init_serving`, and serves a query as
+    :meth:`_begin`, :meth:`_cached` and, on a miss, :meth:`_finish`.
+    """
+
+    def _init_serving(
+        self, default_budget: Optional[int], cache_size: int, keep_records: int,
+        tracing: bool, metrics: Optional[MetricsRegistry], events: Optional[EventLog],
+        backend: str,
+    ) -> None:
+        from ..fast import validate_backend
+        from .cache import LRUCache
+
+        if default_budget is not None and default_budget < 1:
+            raise ValidationError(f"default_budget must be >= 1, got {default_budget}")
+        if keep_records < 1:
+            raise ValidationError(f"keep_records must be >= 1, got {keep_records}")
+        self.backend = validate_backend(backend, allow_auto=True)
+        self.default_budget = default_budget
+        self.tracing = tracing
+        self.metrics = metrics if metrics is not None else MetricsRegistry()
+        self._events = events
+        #: Per-(strategy, backend) running statistics — the planner feed.
+        self.stats_collector = StatsCollector()
+        self.counter = CostCounter()  # engine-lifetime aggregate
+        self._cache = LRUCache(cache_size)
+        self._records: Deque[QueryRecord] = deque(maxlen=keep_records)
+        self._queries_served = 0
+        self._strategy_counts: Dict[str, int] = {}
+        self._fallback_count = 0
+        self._degraded_count = 0
+        self._degraded_slices = 0  # fanned-out queries only
+
+    def __getstate__(self) -> Dict[str, Any]:
+        # The event log is a live operational attachment (often shared
+        # across engines): persisting it would duplicate the shared log per
+        # saved engine.
+        state = dict(self.__dict__)
+        state["_events"] = None
+        return state
+
+    def __setstate__(self, state: Dict[str, Any]) -> None:
+        # Engines pickled before a layer existed lack its fields; default
+        # them so old index files keep serving (and stats()) cleanly.
+        self.__dict__.update(state)
+        # ... the trace layer.
+        self.__dict__.setdefault("tracing", False)
+        if self.__dict__.get("metrics") is None:
+            self.metrics = MetricsRegistry()
+        # ... the vectorized backend.
+        self.__dict__.setdefault("backend", "cost_model")
+        # ... the telemetry subsystem.
+        self.__dict__.setdefault("_events", None)
+        if self.__dict__.get("stats_collector") is None:
+            self.stats_collector = StatsCollector()
+
+    # -- the query prologue and epilogue ------------------------------------------
+
+    @staticmethod
+    def _coerce_rect(rect: Union[Rect, Sequence[float]]) -> Rect:
+        if isinstance(rect, Rect):
+            return rect
+        coords = [float(c) for c in rect]
+        for coord in coords:
+            # Rect itself allows infinite bounds (Rect.full), but a flat
+            # coordinate list comes from an external caller (CLI, JSONL
+            # workload) where a non-finite value is a data error: NaN makes
+            # containment tests silently inconsistent, inf silently turns a
+            # typo into an unbounded scan.
+            if not math.isfinite(coord):
+                raise ValidationError(
+                    f"flat rectangle has a non-finite coordinate ({coord})"
+                )
+        if len(coords) % 2 != 0:
+            raise ValidationError(
+                f"flat rectangle needs an even coordinate count, got {len(coords)}"
+            )
+        dim = len(coords) // 2
+        return Rect(coords[:dim], coords[dim:])
+
+    def _validate(
+        self, rect: Union[Rect, Sequence[float]], keywords: Sequence[int]
+    ) -> Tuple[Rect, List[int]]:
+        """Coerce and validate a query's rectangle and keyword set."""
+        rect = self._coerce_rect(rect)
+        words = sorted(set(validate_nonempty_keywords(keywords)))
+        if len(words) > self.max_k:
+            raise ValidationError(
+                f"{len(words)} distinct keywords exceed max_k={self.max_k}"
+            )
+        if self.dataset.dim is not None and rect.dim != self.dataset.dim:
+            raise ValidationError(
+                f"query rectangle is {rect.dim}-dimensional, "
+                f"data is {self.dataset.dim}-dimensional"
+            )
+        return rect, words
+
+    def _begin(
+        self, rect: Union[Rect, Sequence[float]], keywords: Sequence[int],
+        budget: Optional[int], counter: Optional[CostCounter],
+    ) -> Tuple[Rect, List[int], Optional[int], CostCounter, int]:
+        """Validate one query and count it in: the rectangle, the sorted
+        distinct keywords, the effective budget, the caller's counter (a
+        fresh one when none was passed) and the query's id."""
+        rect, words = self._validate(rect, keywords)
+        self._queries_served += 1
+        self.metrics.counter("queries_total").inc()
+        budget = budget if budget is not None else self.default_budget
+        return rect, words, budget, ensure_counter(counter), self._queries_served
+
+    def _cached(
+        self, key: Tuple, query_id: int, rect: Rect, words: Sequence[int],
+        budget: Optional[int], tracer: Optional[Tracer],
+    ) -> Optional[Tuple[KeywordObject, ...]]:
+        """The cached answer for ``key``, recorded as a hit (``tracer``, when
+        given, finished into its record); ``None`` on a miss."""
+        cached, hit = self._cache.lookup(key)
+        if not hit:
+            self.metrics.counter("cache_misses_total").inc()
+            return None
+        self.metrics.counter("cache_hits_total").inc()
+        record = QueryRecord(
+            query_id=query_id,
+            rect_lo=rect.lo,
+            rect_hi=rect.hi,
+            keywords=tuple(words),
+            strategy="cache",
+            cache="hit",
+            budget=budget,
+            result_count=len(cached),
+        )
+        self._record(record, tracer)
+        return cached
+
+    def _finish(
+        self, query_id: int, rect: Rect, words: Sequence[int],
+        results: Iterable[KeywordObject], strategy: str, budget: Optional[int],
+        spent: CostCounter, caller: CostCounter, key: Tuple,
+        tracer: Optional[Tracer] = None, *, backend: str = "cost_model",
+        fallbacks: Sequence[Dict[str, Any]] = (),
+        estimates: Optional[Dict[str, Any]] = None, degraded: bool = False,
+        slices: Sequence[Dict[str, Any]] = (),
+    ) -> Tuple[KeywordObject, ...]:
+        """Cache, record, meter and account one executed query.
+
+        ``slices`` are a fan-out's per-shard slices; the query is degraded
+        when any slice is.  Not thread-safe (the cache and the record deque
+        are not): the async front end finishes on its event-loop thread.
+        """
+        # Record and cache before touching the caller's counter, and fold the
+        # spent units into it with absorb() (never merge()): a caller-supplied
+        # counter may carry its own budget, and the engine's contract is that
+        # BudgetExceeded never escapes query() — the trace and the cache entry
+        # must land even when the caller's budget is already blown.
+        results = tuple(results)
+        evicted = self._cache.put(key, results)
+        if evicted and self._events is not None:
+            self._events.emit(
+                "cache_evict", query_id=query_id, evicted=evicted,
+                size=len(self._cache), capacity=self._cache.capacity,
+            )
+        degraded_slices = sum(1 for entry in slices if entry["degraded"])
+        degraded = degraded or degraded_slices > 0
+        cost = spent.snapshot()
+        metrics = self.metrics
+        if fallbacks:
+            self._fallback_count += len(fallbacks)
+            metrics.counter("fallbacks_total").inc(len(fallbacks))
+            metrics.counter("budget_exhausted_total").inc()
+        if degraded:
+            self._degraded_count += 1
+            metrics.counter("degraded_total").inc()
+        if degraded_slices:
+            self._degraded_slices += degraded_slices
+            metrics.counter("degraded_slices_total").inc(degraded_slices)
+        for category in CATEGORIES:
+            metrics.histogram(f"cost_{category}").observe(cost.get(category, 0))
+        metrics.histogram("cost_total").observe(cost["total"])
+        metrics.histogram("result_count").observe(len(results))
+        self.stats_collector.observe(
+            strategy, backend, cost["total"], len(results),
+            corpus_size=self._corpus_size,
+        )
+        if degraded and self._events is not None:
+            self._events.emit(
+                "query_degraded",
+                query_id=query_id,
+                strategy=strategy,
+                fallbacks=len(fallbacks),
+                budget=budget,
+                cost_total=cost["total"],
+                **({"degraded_slices": degraded_slices} if slices else {}),
+            )
+        record = QueryRecord(
+            query_id=query_id,
+            rect_lo=rect.lo,
+            rect_hi=rect.hi,
+            keywords=tuple(words),
+            strategy=strategy,
+            cache="miss",
+            budget=budget,
+            backend=backend,
+            degraded=degraded,
+            fallbacks=list(fallbacks),
+            cost=cost,
+            estimates={
+                name: float(value)
+                for name, value in (estimates or {}).items()
+                if isinstance(value, (int, float))
+            },
+            result_count=len(results),
+            shards=list(slices),
+        )
+        self._record(record, tracer)
+        self.counter.absorb(spent)
+        caller.absorb(spent)
+        return results
+
+    def _record(self, record: QueryRecord, tracer: Optional[Tracer]) -> None:
+        """Retain, tally and announce one served query's record; ``tracer``,
+        when given, is finished into it."""
+        if tracer is not None:
+            record.trace = tracer.finish().to_dict()
+        self._records.append(record)
+        strategy = record.strategy
+        self._strategy_counts[strategy] = self._strategy_counts.get(strategy, 0) + 1
+        self.metrics.counter(f"strategy_{strategy}_total").inc()
+        if self._events is not None:
+            self._events.emit(
+                "query_finish",
+                query_id=record.query_id,
+                strategy=strategy,
+                cache=record.cache,
+                cost_total=record.cost.get("total", 0),
+                result_count=record.result_count,
+                degraded=record.degraded,
+            )
+
+    @property
+    def _corpus_size(self) -> int:
+        """Objects served, the denominator of the collected selectivity."""
+        return len(self.dataset)
+
+    def batch(
+        self,
+        queries: Iterable[QuerySpec],
+        budget: Optional[int] = None,
+        counter: Optional[CostCounter] = None,
+    ) -> List[Tuple[KeywordObject, ...]]:
+        """Serve a sequence of ``(rect, keywords)`` queries in order.
+
+        The matching traces are the tail of :attr:`records`; pair them with
+        the returned result lists for per-query reporting.
+        """
+        return [
+            self.query(rect, keywords, budget=budget, counter=counter)
+            for rect, keywords in queries
+        ]
+
+    # -- observability -----------------------------------------------------------
+
+    @property
+    def records(self) -> List[QueryRecord]:
+        """The retained per-query traces, oldest first."""
+        return list(self._records)
+
+    @property
+    def last_record(self) -> Optional[QueryRecord]:
+        return self._records[-1] if self._records else None
+
+    @property
+    def cache(self):
+        return self._cache
+
+    @property
+    def events(self) -> Optional[EventLog]:
+        """The attached structured event log (``None`` when not wired)."""
+        return self._events
+
+    def attach_events(self, events: Optional[EventLog]) -> None:
+        """Attach (or detach with ``None``) a structured event log.
+
+        Lets a deployment wire one shared log through an engine that was
+        built — or unpickled — without one.
+        """
+        self._events = events
+
+    def planner_stats(self) -> Dict[str, Any]:
+        """The stable per-(strategy, backend) statistics feed.
+
+        Schema-versioned rendering of the engine's
+        :class:`~repro.telemetry.StatsCollector` — the collected-statistics
+        input a future adaptive planner (and any dashboard) reads.
+        """
+        return self.stats_collector.planner_stats()
+
+    def stats(self) -> Dict[str, Any]:
+        """Lifetime engine statistics (JSON-safe)."""
+        return {
+            "queries": self._queries_served,
+            "strategies": dict(self._strategy_counts),
+            "fallbacks": self._fallback_count,
+            "degraded": self._degraded_count,
+            "cache": self._cache.stats(),
+            "cost": self.counter.snapshot(),
+            "dataset": {
+                "objects": len(self.dataset),
+                "input_size": self.dataset.total_doc_size,
+                "dim": self.dataset.dim,
+            },
+            "max_k": self.max_k,
+            "default_budget": self.default_budget,
+            "backend": self.backend,
+            "metrics": self.metrics.snapshot(),
+        }
+
+    def export_stats_json(self, indent: Optional[int] = 2) -> str:
+        return json.dumps(self.stats(), indent=indent, sort_keys=True)
+
+    def export_records_json(self) -> str:
+        """All retained traces as a JSON array (oldest first)."""
+        return json.dumps(
+            [record.to_dict() for record in self._records], sort_keys=True
+        )
+
+    @property
+    def dim(self) -> Optional[int]:
+        """Dimensionality of the served points (mirrors the index classes)."""
+        return self.dataset.dim
+
+    @property
+    def input_size(self) -> int:
+        """``N`` (mirrors the index classes, for ``cli info``)."""
+        return self.dataset.total_doc_size
+
+
+class QueryEngine(ServingBase):
     """Budget-bounded, cached, observable serving layer.
 
     Parameters
@@ -135,6 +488,11 @@ class QueryEngine:
         events into (``query_finish``, ``query_degraded``, ``cache_evict``);
         ``None`` (the default) disables event emission.  Share one log
         across the serving stack for a single total event order.
+
+    A static engine answers a rectangle that misses its corpus's bounding
+    box (:attr:`bounds`) with ``()`` at zero cost and strategy ``"pruned"``
+    — the sharded fan-out's prune rule, so one shard serves exactly like
+    the unsharded engine.  Engines serving a ``dynamic_index`` never prune.
     """
 
     def __init__(
@@ -152,14 +510,11 @@ class QueryEngine:
         dynamic_index=None,
         events: Optional[EventLog] = None,
     ):
-        from ..fast import VectorizedBackend, validate_backend
-        from .cache import LRUCache
+        from ..fast import VectorizedBackend
 
-        if default_budget is not None and default_budget < 1:
-            raise ValidationError(f"default_budget must be >= 1, got {default_budget}")
-        if keep_records < 1:
-            raise ValidationError(f"keep_records must be >= 1, got {keep_records}")
-        self.backend = validate_backend(backend, allow_auto=True)
+        self._init_serving(
+            default_budget, cache_size, keep_records, tracing, metrics, events, backend
+        )
         self._dynamic = dynamic_index
         if dynamic_index is not None:
             # Dynamic serving: the engine fronts a DynamicOrpKw — every
@@ -182,19 +537,9 @@ class QueryEngine:
             raise ValidationError("dataset is required without a dynamic_index")
         self.dataset = dataset
         self.max_k = max_k
-        self.default_budget = default_budget
-        self.tracing = tracing
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self._events = events
-        #: Per-(strategy, backend) running statistics — the planner feed.
-        self.stats_collector = StatsCollector()
-        self.counter = CostCounter()  # engine-lifetime aggregate
-        self._cache = LRUCache(cache_size)
-        self._records: Deque[QueryRecord] = deque(maxlen=keep_records)
-        self._queries_served = 0
-        self._strategy_counts: Dict[str, int] = {}
-        self._fallback_count = 0
-        self._degraded_count = 0
+        #: Tightest box around the static corpus (``None`` when it is empty,
+        #: and for dynamic engines, whose corpus is the published epoch).
+        self.bounds = _bounding_rect(dataset)
         # The numpy mirror used for vectorized keywords-only execution.
         # Built eagerly (it is cheap relative to the fused indexes below) so
         # the first query does not pay a hidden build cost.
@@ -234,29 +579,18 @@ class QueryEngine:
 
     def __getstate__(self) -> Dict[str, Any]:
         # The array mirror is derived state: rebuild after unpickling
-        # instead of bloating index files with numpy blocks.  The event log
-        # is a live operational attachment (often shared across engines):
-        # persisting it would duplicate the shared log per saved engine.
-        state = dict(self.__dict__)
+        # instead of bloating index files with numpy blocks.
+        state = super().__getstate__()
         state["_fast"] = None
-        state["_events"] = None
         return state
 
     def __setstate__(self, state: Dict[str, Any]) -> None:
-        # Engines pickled before the trace layer existed lack these fields;
-        # default them so old index files keep serving (and stats()) cleanly.
-        self.__dict__.update(state)
-        self.__dict__.setdefault("tracing", False)
-        if self.__dict__.get("metrics") is None:
-            self.metrics = MetricsRegistry()
-        # Engines pickled before the vectorized backend / dynamic serving.
-        self.__dict__.setdefault("backend", "cost_model")
+        super().__setstate__(state)
+        # Engines pickled before dynamic serving / the prune rule.
         self.__dict__.setdefault("_dynamic", None)
         self.__dict__.setdefault("_fast", None)
-        # Engines pickled before the telemetry subsystem.
-        self.__dict__.setdefault("_events", None)
-        if self.__dict__.get("stats_collector") is None:
-            self.stats_collector = StatsCollector()
+        if "bounds" not in self.__dict__:
+            self.bounds = _bounding_rect(self.dataset)
         if self.backend != "cost_model" and self.dataset.objects:
             from ..fast import VectorizedBackend
 
@@ -360,26 +694,12 @@ class QueryEngine:
         ``tracer=None`` and the engine built with ``tracing=True``, the query
         owns a fresh tracer and attaches the finished tree to its record.
         """
-        rect = self._coerce_rect(rect)
-        words = sorted(set(validate_nonempty_keywords(keywords)))
-        if len(words) > self.max_k:
-            raise ValidationError(
-                f"{len(words)} distinct keywords exceed max_k={self.max_k}"
-            )
-        if self.dataset.dim is not None and rect.dim != self.dataset.dim:
-            raise ValidationError(
-                f"query rectangle is {rect.dim}-dimensional, "
-                f"data is {self.dataset.dim}-dimensional"
-            )
-        budget = budget if budget is not None else self.default_budget
-        caller = ensure_counter(counter)
-        self._queries_served += 1
-        query_id = self._queries_served
-        self.metrics.counter("queries_total").inc()
-
-        owned = tracer is None and self.tracing
-        if owned:
-            tracer = Tracer("query", "engine", query_id=query_id)
+        rect, words, budget, caller, query_id = self._begin(
+            rect, keywords, budget, counter
+        )
+        owned: Optional[Tracer] = None
+        if tracer is None and self.tracing:
+            tracer = owned = Tracer("query", "engine", query_id=query_id)
 
         # The epoch id pins a cache entry to the index version that produced
         # it: a dynamic engine's publish bumps the id, so post-write queries
@@ -387,42 +707,19 @@ class QueryEngine:
         # version 0 forever (same key shape, zero overhead).
         epoch = self._dynamic.epoch.epoch_id if self._dynamic is not None else 0
         key = (epoch, rect.lo, rect.hi, frozenset(words))
-        cached, hit = self._cache.lookup(key)
-        if hit:
-            record = QueryRecord(
-                query_id=query_id,
-                rect_lo=rect.lo,
-                rect_hi=rect.hi,
-                keywords=tuple(words),
-                strategy="cache",
-                cache="hit",
-                budget=budget,
-                result_count=len(cached),
-            )
-            if owned:
-                record.trace = tracer.finish().to_dict()
-            self._records.append(record)
-            self._strategy_counts["cache"] = self._strategy_counts.get("cache", 0) + 1
-            self.metrics.counter("cache_hits_total").inc()
-            self.metrics.counter("strategy_cache_total").inc()
-            if self._events is not None:
-                self._events.emit(
-                    "query_finish",
-                    query_id=query_id,
-                    strategy="cache",
-                    cache="hit",
-                    cost_total=0,
-                    result_count=len(cached),
-                    degraded=False,
-                )
+        cached = self._cached(key, query_id, rect, words, budget, owned)
+        if cached is not None:
             return cached
-        self.metrics.counter("cache_misses_total").inc()
 
-        if self._index is None and not self._planners and self._dynamic is None:
-            # Empty corpus: nothing can match; zero cost, honest trace.
+        if self._dynamic is None and (
+            self.bounds is None or not rect.intersects(self.bounds)
+        ):
+            # An empty corpus, or a rectangle that misses its bounding box:
+            # nothing can match; zero cost, honest trace.
+            strategy = "empty_dataset" if self.bounds is None else "pruned"
             return self._finish(
-                query_id, rect, words, (), "empty_dataset", [], {}, budget,
-                False, CostCounter(), caller, key, tracer, owned,
+                query_id, rect, words, (), strategy, budget, CostCounter(),
+                caller, key, owned,
             )
 
         order, estimates = self._plan(rect, words)
@@ -462,204 +759,20 @@ class QueryEngine:
             chosen = order[0]
             degraded = True
         return self._finish(
-            query_id, rect, words, results, chosen, fallbacks,
-            estimates, budget, degraded, spent, caller, key, tracer, owned,
-            backend=backend,
-        )
-
-    def _finish(
-        self, query_id, rect, words, results, chosen, fallbacks,
-        estimates, budget, degraded, spent, caller, key, tracer=None, owned=False,
-        backend="cost_model",
-    ) -> Tuple[KeywordObject, ...]:
-        # Record and cache before touching the caller's counter, and fold the
-        # spent units into it with absorb() (never merge()): a caller-supplied
-        # counter may carry its own budget, and the engine's contract is that
-        # BudgetExceeded never escapes query() — the trace and the cache entry
-        # must land even when the caller's budget is already blown.
-        results = tuple(results)
-        evicted = self._cache.put(key, results)
-        if evicted and self._events is not None:
-            self._events.emit(
-                "cache_evict", query_id=query_id, evicted=evicted,
-                size=len(self._cache), capacity=self._cache.capacity,
-            )
-        clean_estimates = {
-            name: float(value)
-            for name, value in estimates.items()
-            if isinstance(value, (int, float))
-        }
-        record = QueryRecord(
-            query_id=query_id,
-            rect_lo=rect.lo,
-            rect_hi=rect.hi,
-            keywords=tuple(words),
-            strategy=chosen,
-            cache="miss",
-            budget=budget,
-            backend=backend,
+            query_id, rect, words, results, chosen, budget, spent, caller, key,
+            owned, backend=backend, fallbacks=fallbacks, estimates=estimates,
             degraded=degraded,
-            fallbacks=fallbacks,
-            cost=spent.snapshot(),
-            estimates=clean_estimates,
-            result_count=len(results),
         )
-        if owned and tracer is not None:
-            record.trace = tracer.finish().to_dict()
-        self._records.append(record)
-        self._strategy_counts[chosen] = self._strategy_counts.get(chosen, 0) + 1
-        self._fallback_count += len(fallbacks)
-        if degraded:
-            self._degraded_count += 1
-        self._observe_metrics(chosen, len(fallbacks), degraded, record.cost, len(results))
-        self.stats_collector.observe(
-            chosen,
-            backend,
-            record.cost.get("total", 0),
-            len(results),
-            corpus_size=len(self.dataset),
-        )
-        if self._events is not None:
-            if degraded:
-                self._events.emit(
-                    "query_degraded",
-                    query_id=query_id,
-                    strategy=chosen,
-                    fallbacks=len(fallbacks),
-                    budget=budget,
-                    cost_total=record.cost.get("total", 0),
-                )
-            self._events.emit(
-                "query_finish",
-                query_id=query_id,
-                strategy=chosen,
-                cache="miss",
-                cost_total=record.cost.get("total", 0),
-                result_count=len(results),
-                degraded=degraded,
-            )
-        self.counter.absorb(spent)
-        caller.absorb(spent)
-        return results
-
-    def _observe_metrics(
-        self,
-        strategy: str,
-        fallback_count: int,
-        degraded: bool,
-        cost: Dict[str, int],
-        result_count: int,
-    ) -> None:
-        """Feed the registry one executed (non-cache-hit) query's outcome."""
-        metrics = self.metrics
-        metrics.counter(f"strategy_{strategy}_total").inc()
-        if fallback_count:
-            metrics.counter("fallbacks_total").inc(fallback_count)
-            metrics.counter("budget_exhausted_total").inc()
-        if degraded:
-            metrics.counter("degraded_total").inc()
-        for category in CATEGORIES:
-            metrics.histogram(f"cost_{category}").observe(cost.get(category, 0))
-        metrics.histogram("cost_total").observe(cost.get("total", 0))
-        metrics.histogram("result_count").observe(result_count)
-
-    def batch(
-        self,
-        queries: Iterable[QuerySpec],
-        budget: Optional[int] = None,
-        counter: Optional[CostCounter] = None,
-    ) -> List[Tuple[KeywordObject, ...]]:
-        """Serve a sequence of ``(rect, keywords)`` queries in order.
-
-        The matching traces are the tail of :attr:`records`; pair them with
-        the returned result lists for per-query reporting.
-        """
-        return [
-            self.query(rect, keywords, budget=budget, counter=counter)
-            for rect, keywords in queries
-        ]
-
-    @staticmethod
-    def _coerce_rect(rect: Union[Rect, Sequence[float]]) -> Rect:
-        if isinstance(rect, Rect):
-            return rect
-        coords = [float(c) for c in rect]
-        for coord in coords:
-            # Rect itself allows infinite bounds (Rect.full), but a flat
-            # coordinate list comes from an external caller (CLI, JSONL
-            # workload) where a non-finite value is a data error: NaN makes
-            # containment tests silently inconsistent, inf silently turns a
-            # typo into an unbounded scan.
-            if not math.isfinite(coord):
-                raise ValidationError(
-                    f"flat rectangle has a non-finite coordinate ({coord})"
-                )
-        if len(coords) % 2 != 0:
-            raise ValidationError(
-                f"flat rectangle needs an even coordinate count, got {len(coords)}"
-            )
-        dim = len(coords) // 2
-        return Rect(coords[:dim], coords[dim:])
 
     # -- observability -----------------------------------------------------------
 
-    @property
-    def records(self) -> List[QueryRecord]:
-        """The retained per-query traces, oldest first."""
-        return list(self._records)
-
-    @property
-    def last_record(self) -> Optional[QueryRecord]:
-        return self._records[-1] if self._records else None
-
-    @property
-    def cache(self):
-        return self._cache
-
-    @property
-    def events(self) -> Optional[EventLog]:
-        """The attached structured event log (``None`` when not wired)."""
-        return self._events
-
-    def attach_events(self, events: Optional[EventLog]) -> None:
-        """Attach (or detach with ``None``) a structured event log.
-
-        Lets a deployment wire one shared log through an engine that was
-        built — or unpickled — without one.
-        """
-        self._events = events
-
-    def planner_stats(self) -> Dict[str, Any]:
-        """The stable per-(strategy, backend) statistics feed.
-
-        Schema-versioned rendering of the engine's
-        :class:`~repro.telemetry.StatsCollector` — the collected-statistics
-        input a future adaptive planner (and any dashboard) reads.
-        """
-        return self.stats_collector.planner_stats()
-
     def stats(self) -> Dict[str, Any]:
         """Lifetime engine statistics (JSON-safe)."""
-        return {
-            "queries": self._queries_served,
-            "strategies": dict(self._strategy_counts),
-            "fallbacks": self._fallback_count,
-            "degraded": self._degraded_count,
-            "cache": self._cache.stats(),
-            "cost": self.counter.snapshot(),
-            "dataset": {
-                "objects": len(self.dataset),
-                "input_size": self.dataset.total_doc_size,
-                "dim": self.dataset.dim,
-            },
-            "max_k": self.max_k,
-            "default_budget": self.default_budget,
-            "backend": getattr(self, "backend", "cost_model"),
-            "dynamic_epoch": (
-                self._dynamic.epoch.epoch_id if self._dynamic is not None else None
-            ),
-            "metrics": self.metrics.snapshot(),
-        }
+        stats = super().stats()
+        stats["dynamic_epoch"] = (
+            self._dynamic.epoch.epoch_id if self._dynamic is not None else None
+        )
+        return stats
 
     def probe_structure(self, seed: int = 17) -> List[Dict[str, Any]]:
         """Run the structural health probes and mirror them into metrics.
@@ -677,25 +790,6 @@ class QueryEngine:
         reports = engine_reports(self, seed=seed)
         register_all(reports, self.metrics)
         return [report.to_dict() for report in reports]
-
-    def export_stats_json(self, indent: Optional[int] = 2) -> str:
-        return json.dumps(self.stats(), indent=indent, sort_keys=True)
-
-    def export_records_json(self) -> str:
-        """All retained traces as a JSON array (oldest first)."""
-        return json.dumps(
-            [record.to_dict() for record in self._records], sort_keys=True
-        )
-
-    @property
-    def dim(self) -> Optional[int]:
-        """Dimensionality of the served points (mirrors the index classes)."""
-        return self.dataset.dim
-
-    @property
-    def input_size(self) -> int:
-        """``N`` (mirrors the index classes, for ``cli info``)."""
-        return self.dataset.total_doc_size
 
     @property
     def space_units(self) -> int:

@@ -1,9 +1,8 @@
-"""Sharded serving: spatial partitioning plus budget-bounded fan-out.
+"""Sharded serving: spatial partitioning plus one budget-bounded fan-out plan.
 
-The ROADMAP's north star — serve heavy traffic — needs more than one
-monolithic index: partitioned content-and-structure systems get their
-robustness at scale from per-partition indexes with bounded per-partition
-work.  This module is that step for :mod:`repro`:
+Partitioned content-and-structure systems get their robustness at scale
+from per-partition indexes with bounded per-partition work.  This module
+is that step for :mod:`repro`:
 
 * :func:`partition_dataset` splits a :class:`~repro.dataset.Dataset` into
   ``S`` spatially coherent shards by recursive **median kd-splits** — the
@@ -14,55 +13,38 @@ work.  This module is that step for :mod:`repro`:
 
 * :class:`ShardedQueryEngine` owns one per-shard
   :class:`~repro.service.engine.QueryEngine` (per-shard fused indexes and
-  planners; the full dataset's vocabulary is kept for stats) and fans each
-  query out across every shard.
+  planners; the full dataset's vocabulary is kept for stats) and serves
+  every query through one :class:`Fanout` plan: **pin** the published
+  :class:`ShardMap` and look up the cache; **prune** the shards whose
+  published bounds miss the rectangle (their slices are recorded with
+  strategy ``"pruned"``, budget 0 and cost 0); **split** the budget ``B``
+  over the shards that run with :func:`split_budget_exact`; **run** them —
+  inline in :meth:`ShardedQueryEngine.query`, or on the worker pool of
+  :class:`~repro.service.async_engine.AsyncQueryEngine`; **merge and
+  finish**.
 
-Budget split and redistribution
--------------------------------
-A query budget ``B`` is divided across the fan-out: shard ``i`` (of the
-``S - i`` not yet served) receives ``ceil(remaining / (S - i))`` units
-(:func:`shard_share`), so the first shard starts at ``ceil(B / S)``.  A
-shard that finishes under its share returns the unused units to the pool —
-later shards (the stragglers, which in a spatial partition are often the
-ones actually intersecting the query rectangle) see a larger share.  A
-shard that *overruns* its share (fallbacks, degradation) is charged at most
-its share against the pool, so one hot shard cannot starve the rest into
-cascading degradation.
+Every share is fixed before any shard runs, so no shard's grant depends on
+what another spent: a query gets the same answer, cost and degraded slices
+from either executor.  A shard whose share is zero is served with a zero
+budget — its first charge degrades it to the unbudgeted exact path, so
+answers stay correct and the degradation is visible in its slice.
+Degradation stays per-slice: the other shards still serve within budget.
+As with the unsharded engine, every strategy is exact, so sharding never
+changes the answer — the differential suite asserts result equality
+against the unsharded engine for every shard count.
 
-The ceiling split is *exact*: every granted share is at most the pool, so
-the pool never goes negative, and if every shard spends its full share the
-grants telescope to exactly ``B`` — no unit is silently lost or granted
-twice.  (The previous ``max(remaining // left, 1)`` rule minted budget out
-of thin air once the pool ran dry: with ``B = 2`` over four shards it
-granted four units.)  A shard whose share works out to zero is served with
-a zero budget — its first charge degrades it to the unbudgeted exact path,
-so answers stay correct and the degradation is visible in its slice.
-
-Degradation stays per-slice: a shard that exhausts every strategy degrades
-only its slice of the answer (recorded in the merged trace's ``shards``
-list); the other shards still serve within budget.  As with the unsharded
-engine, every strategy is exact, so sharding never changes the answer —
-the differential suite asserts result equality against the unsharded
-engine for every shard count.
-
-Trace merging
--------------
-Each per-shard engine produces its own :class:`QueryRecord`; the sharded
-engine rolls them up into a single merged trace: per-category costs are
-summed, per-shard fallbacks are tagged with their ``shard`` id, and the
-record's ``shards`` field keeps one ``{shard_id, strategy, budget, cost,
-degraded}`` slice per shard.  ``BudgetExceeded`` never escapes, and the
+The merged :class:`~repro.service.engine.QueryRecord` sums per-category
+costs over the shards, tags per-shard fallbacks with their ``shard`` id,
+and keeps one ``{shard_id, strategy, budget, cost, degraded}`` slice per
+shard, pruned ones included.  ``BudgetExceeded`` never escapes, and the
 caller's counter receives the merged spend exactly once.
 """
 
 from __future__ import annotations
 
-import json
 import math
-from collections import deque
 from typing import (
     Any,
-    Deque,
     Dict,
     FrozenSet,
     Iterable,
@@ -75,37 +57,22 @@ from typing import (
 
 import numpy as np
 
-from ..costmodel import CATEGORIES, CostCounter, ensure_counter
-from ..dataset import Dataset, KeywordObject, validate_nonempty_keywords
+from ..costmodel import CostCounter, ensure_counter
+from ..dataset import Dataset, KeywordObject
 from ..errors import ValidationError
 from ..geometry.rectangles import Rect
 from ..telemetry.events import EventLog
 from ..telemetry.quantiles import StatsCollector
 from ..trace import MetricsRegistry, Tracer, span_for
-from .cache import LRUCache
-from .engine import QueryEngine, QueryRecord, QuerySpec
-
-
-def shard_share(pool: int, shards_left: int) -> int:
-    """The next shard's budget grant: ``ceil(pool / shards_left)``.
-
-    Never exceeds ``pool`` (so the running pool cannot go negative), and
-    telescopes exactly: granting ``shard_share`` to each of ``shards_left``
-    shards in turn, with every shard spending its full grant, hands out
-    ``pool`` units in total — the no-loss/no-double-grant invariant the
-    budget-split property test enforces.  Returns 0 once the pool is empty
-    (a zero-budget shard degrades rather than borrowing units that were
-    never in the budget).
-    """
-    return (pool + shards_left - 1) // shards_left
+from .engine import QueryEngine, QueryRecord, ServingBase
 
 
 def split_budget_exact(budget: int, parts: int) -> List[int]:
     """Split ``budget`` into ``parts`` near-equal shares summing exactly.
 
-    The concurrent fan-out cannot redistribute a straggler pool (all shards
-    run at once), so it fixes every share upfront: ``budget // parts`` each,
-    with the first ``budget % parts`` shares one unit larger.
+    ``budget // parts`` each, with the first ``budget % parts`` shares one
+    unit larger.  The fan-out fixes the share of every shard that runs this
+    way before any of them runs.
     """
     if parts < 1:
         raise ValidationError(f"parts must be >= 1, got {parts}")
@@ -152,16 +119,6 @@ def partition_dataset(dataset: Dataset, shards: int) -> List[Dataset]:
     return [
         Dataset(piece) if piece else Dataset.empty(dim) for piece in pieces
     ]
-
-
-def _bounding_rect(dataset: Dataset) -> Optional[Rect]:
-    """Tightest axis-aligned box around ``dataset`` (``None`` when empty)."""
-    if not len(dataset):
-        return None
-    points = [obj.point for obj in dataset.objects]
-    lo = tuple(min(p[axis] for p in points) for axis in range(dataset.dim))
-    hi = tuple(max(p[axis] for p in points) for axis in range(dataset.dim))
-    return Rect(lo, hi)
 
 
 def _expand_rect(bounds: Optional[Rect], point: Tuple[float, ...]) -> Rect:
@@ -266,24 +223,187 @@ class ShardMap:
         )
 
 
-class ShardedQueryEngine:
+def _merge_results(merged: List[KeywordObject]) -> Tuple[KeywordObject, ...]:
+    """Dedup by object id and fix a deterministic (id-sorted) order.
+
+    The shards partition the objects, so duplicates cannot arise; the
+    dedup guards the invariant anyway (a future overlap bug must not
+    silently double-report).
+    """
+    seen: set = set()
+    unique = []
+    for obj in merged:
+        if obj.oid not in seen:
+            seen.add(obj.oid)
+            unique.append(obj)
+    unique.sort(key=lambda obj: obj.oid)
+    return tuple(unique)
+
+
+class Fanout:
+    """One sharded query's fan-out plan.
+
+    Opening it (on the caller's thread) validates the query, counts it in,
+    pins the published :class:`ShardMap` and looks the query up in the
+    cache: a hit sets :attr:`results` and nothing runs.  On a miss it keeps
+    the shards whose bounds meet the rectangle (:attr:`active`) and splits
+    the budget exactly over them (:attr:`shares`, empty when unbudgeted).
+    The executor then calls :meth:`run` once per active shard — inline, or
+    on worker threads as long as no two calls run the same shard at once —
+    and hands the outcomes, in any order, to :meth:`finish`.
+    """
+
+    __slots__ = (
+        "engine", "rect", "words", "budget", "caller", "query_id", "state",
+        "tracer", "key", "results", "active", "shares",
+    )
+
+    def __init__(
+        self,
+        engine: "ShardedQueryEngine",
+        rect: Union[Rect, Sequence[float]],
+        keywords: Sequence[int],
+        budget: Optional[int],
+        counter: Optional[CostCounter],
+    ):
+        self.engine = engine
+        self.rect, self.words, self.budget, self.caller, self.query_id = (
+            engine._begin(rect, keywords, budget, counter)
+        )
+        # Pin the published map once: the whole fan-out (and the cache key)
+        # runs against one consistent shard layout even if a writer
+        # publishes an insert or a rebalance cutover mid-flight.
+        self.state = state = engine._state
+        self.tracer: Optional[Tracer] = None
+        if engine.tracing:
+            self.tracer = Tracer(
+                "sharded_query", "sharding",
+                query_id=self.query_id, shards=len(state.engines),
+            )
+        # The map's epoch is part of the key, so a mutation implicitly
+        # invalidates every cached merged result from older layouts.
+        self.key = (state.epoch_id, self.rect.lo, self.rect.hi, frozenset(self.words))
+        self.results = engine._cached(
+            self.key, self.query_id, self.rect, self.words, self.budget, self.tracer
+        )
+        self.active: List[int] = []
+        self.shares: Dict[int, int] = {}
+        if self.results is None:
+            # The published bounds grow with every insert, so a shard holding
+            # objects outside its build-time box is never pruned away.
+            self.active = [
+                shard_id
+                for shard_id, bounds in enumerate(state.bounds)
+                if bounds is not None and self.rect.intersects(bounds)
+            ]
+            if self.budget is not None and self.active:
+                self.shares = dict(
+                    zip(self.active, split_budget_exact(self.budget, len(self.active)))
+                )
+            engine.metrics.counter("shards_pruned_total").inc(
+                len(state.engines) - len(self.active)
+            )
+
+    def run(
+        self, shard_id: int
+    ) -> Tuple[int, List[KeywordObject], CostCounter, QueryRecord, Optional[Tracer]]:
+        """Serve one shard's slice of the pinned map under its share.
+
+        The shard's engine answers for its build-time dataset; objects
+        inserted since the last rebalance live in the map's delta buffer and
+        are scanned on top (fully charged); tombstoned objects are filtered
+        from the combined slice.  The engine's record is read back right
+        after its query, so same-shard calls need only be serialized to run
+        on a worker pool.  Each call traces into a tracer of its own
+        (tracers are single-stack); :meth:`finish` grafts it into the tree.
+        """
+        engine = self.state.engines[shard_id]
+        share = self.shares.get(shard_id)
+        probe = CostCounter()
+        if self.tracer is not None:
+            probe.tracer = Tracer("fanout", "sharding")
+        with span_for(probe, f"shard-{shard_id}", "sharding", budget=share):
+            objs = list(
+                engine.query(
+                    self.rect, self.words, budget=share, counter=probe,
+                    tracer=probe.tracer,
+                )
+            )
+            delta = self.state.deltas[shard_id]
+            if delta:
+                required = set(self.words)
+                with span_for(probe, "delta-scan", "sharding", shard=shard_id):
+                    for obj in delta:
+                        probe.charge("objects_examined")
+                        probe.charge("comparisons")
+                        if self.rect.contains_point(obj.point) and required <= obj.doc:
+                            objs.append(obj)
+            tombstones = self.state.tombstones
+            if tombstones:
+                with span_for(probe, "tombstone-filter", "sharding", shard=shard_id):
+                    kept = []
+                    for obj in objs:
+                        probe.charge("structure_probes")
+                        if obj.oid not in tombstones:
+                            kept.append(obj)
+                    objs = kept
+        return shard_id, objs, probe, engine.last_record, probe.tracer
+
+    def finish(self, outcomes: Iterable[tuple]) -> Tuple[KeywordObject, ...]:
+        """Merge the outcomes of :meth:`run` and finish the query."""
+        by_shard = {outcome[0]: outcome[1:] for outcome in outcomes}
+        spent = CostCounter()  # merged per-query accumulator, never budgeted
+        fallbacks: List[Dict[str, Any]] = []
+        slices: List[Dict[str, Any]] = []
+        merged: List[KeywordObject] = []
+        for shard_id in range(len(self.state.engines)):
+            if shard_id not in by_shard:
+                slices.append(
+                    dict(shard_id=shard_id, strategy="pruned", budget=0, cost=0, degraded=False)
+                )
+                continue
+            objs, probe, record, tracer = by_shard[shard_id]
+            merged.extend(objs)
+            for fallback in record.fallbacks:
+                fallbacks.append(dict(fallback, shard=shard_id))
+            slices.append(
+                dict(
+                    shard_id=shard_id, strategy=record.strategy,
+                    budget=self.shares.get(shard_id), cost=probe.total,
+                    degraded=record.degraded,
+                )
+            )
+            spent.merge(probe)
+            if tracer is not None:
+                for child in tracer.finish().children:
+                    self.tracer.root.graft(child)
+        self.results = self.engine._finish(
+            self.query_id, self.rect, self.words, _merge_results(merged),
+            "sharded", self.budget, spent, self.caller, self.key, self.tracer,
+            backend=self.engine.backend, fallbacks=fallbacks, slices=slices,
+        )
+        return self.results
+
+
+class ShardedQueryEngine(ServingBase):
     """Fan-out serving over ``S`` spatial shards with merged cost traces.
 
     The external contract matches :class:`QueryEngine` — ``query``/``batch``
     with per-call budget overrides, an LRU result cache, per-query
     :class:`QueryRecord` traces, JSON-safe ``stats()`` — so the CLI and any
-    caller can swap one for the other.  Internally each shard runs its own
-    budget-bounded engine (cache disabled; the sharded engine caches merged
-    results once), and a query's budget is split across the fan-out as
+    caller can swap one for the other; both build on
+    :class:`~repro.service.engine.ServingBase`.  Internally each shard runs
+    its own budget-bounded engine (cache disabled; the sharded engine caches
+    merged results once), and every query runs the :class:`Fanout` plan
     described in the module docstring.
 
     Parameters mirror :class:`QueryEngine`, plus ``shards``.  With
     ``tracing=True`` each query's record carries a finished span tree whose
-    fan-out span holds one child span per shard; the per-shard engines'
-    strategy and index spans nest under their shard span.  The ``metrics``
-    registry (private by default) aggregates at the fan-out level; the
-    per-shard engines keep their own private registries so shard sub-queries
-    never inflate the fan-out's ``queries_total``.
+    fan-out span holds one child span per shard that ran; the per-shard
+    engines' strategy and index spans nest under their shard span.  The
+    ``metrics`` registry (private by default) aggregates at the fan-out
+    level; the per-shard engines keep their own private registries so shard
+    sub-queries never inflate the fan-out's ``queries_total``.
     """
 
     def __init__(
@@ -301,44 +421,25 @@ class ShardedQueryEngine:
         backend: str = "cost_model",
         events: Optional[EventLog] = None,
     ):
-        from ..fast import validate_backend
-
         if shards < 1:
             raise ValidationError(f"shards must be >= 1, got {shards}")
-        if default_budget is not None and default_budget < 1:
-            raise ValidationError(f"default_budget must be >= 1, got {default_budget}")
-        if keep_records < 1:
-            raise ValidationError(f"keep_records must be >= 1, got {keep_records}")
+        # Wires the event log before the first _publish_state call below,
+        # so the initial shard map's epoch_publish event is emitted too.  The
+        # backend is handed to every shard engine ("auto" resolves per shard,
+        # per query, against that shard's own metrics history).
+        self._init_serving(
+            default_budget, cache_size, keep_records, tracing, metrics, events, backend
+        )
         self.dataset = dataset
         self.num_shards = shards
         self.max_k = max_k
-        #: Execution backend handed to every shard engine ("auto" resolves
-        #: per shard, per query, against that shard's own metrics history).
-        self.backend = validate_backend(backend, allow_auto=True)
-        self.default_budget = default_budget
-        self.tracing = tracing
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
-        # Set before the first _publish_state call below so the initial
-        # shard map's epoch_publish event is emitted too.
-        self._events = events
-        #: Per-(strategy, backend) running statistics for the fan-out level.
-        self.stats_collector = StatsCollector()
         #: Global vocabulary, shared across shards (each shard's inverted
         #: index only covers its slice; stats report the full W).
         self.vocabulary = dataset.vocabulary
-        self.counter = CostCounter()  # engine-lifetime aggregate
-        self._cache = LRUCache(cache_size)
-        self._records: Deque[QueryRecord] = deque(maxlen=keep_records)
-        self._queries_served = 0
-        self._strategy_counts: Dict[str, int] = {}
-        self._fallback_count = 0
-        self._degraded_count = 0  # queries with >= 1 degraded slice
-        self._degraded_slices = 0
         # Shard-engine build parameters, kept so a rebalance can construct
         # replacement engines with the original configuration.
         self._sample_size = sample_size
         self._seed = seed
-        self._keep_records = keep_records
         #: New objects are routed to the shard whose bounds need the least
         #: expansion; once the largest shard exceeds ``rebalance_threshold``
         #: times its fair share (``live_total / shards``), the next mutation
@@ -347,28 +448,9 @@ class ShardedQueryEngine:
         #: default 1.5 fires for any shard count >= 2.
         self.rebalance_threshold = 1.5
         self._rebalances = 0
-        #: Writer-side master copy of every object (tombstoned objects stay
-        #: until a rebalance purges them) and each object's owning shard.
-        #: Readers never touch these — all read state comes from the map.
-        self._objects: Dict[int, KeywordObject] = {
-            obj.oid: obj for obj in dataset.objects
-        }
-        self._owner: Dict[int, int] = {}
-        self._next_oid = max(self._objects, default=-1) + 1
-        datasets = tuple(partition_dataset(dataset, shards))
-        for shard_id, shard in enumerate(datasets):
-            for obj in shard.objects:
-                self._owner[obj.oid] = shard_id
+        self._next_oid = max((obj.oid for obj in dataset.objects), default=-1) + 1
         self._publish_state(
-            ShardMap(
-                0,
-                datasets,
-                tuple(self._build_engines(datasets)),
-                tuple(_bounding_rect(shard) for shard in datasets),
-                tuple(() for _ in datasets),
-                frozenset(),
-                tuple(len(shard) for shard in datasets),
-            )
+            self._fresh_map(0, tuple(partition_dataset(dataset, shards)))
         )
 
     def _build_engines(self, datasets: Sequence[Dataset]) -> List[QueryEngine]:
@@ -381,20 +463,45 @@ class ShardedQueryEngine:
                 cache_size=0,  # merged results are cached once, at this level
                 sample_size=self._sample_size,
                 seed=self._seed,
-                keep_records=self._keep_records,
+                keep_records=1,  # the fan-out reads only last_record
                 backend=self.backend,
             )
             for shard in datasets
         ]
 
+    def _fresh_map(
+        self, epoch_id: int, datasets: Tuple[Dataset, ...],
+        engines: Optional[Tuple[QueryEngine, ...]] = None,
+    ) -> ShardMap:
+        """A map (not yet published) over freshly cut ``datasets``: fresh
+        engines unless given, their corpus boxes as bounds, empty deltas and
+        no tombstones."""
+        if engines is None:
+            engines = tuple(self._build_engines(datasets))
+        #: Writer-side master copy of every object (tombstoned objects stay
+        #: until a rebalance purges them) and each object's owning shard.
+        #: Readers never touch these — all read state comes from the map.
+        self._objects: Dict[int, KeywordObject] = {}
+        self._owner: Dict[int, int] = {}
+        for shard_id, shard in enumerate(datasets):
+            for obj in shard.objects:
+                self._objects[obj.oid] = obj
+                self._owner[obj.oid] = shard_id
+        return ShardMap(
+            epoch_id,
+            datasets,
+            engines,
+            tuple(engine.bounds for engine in engines),
+            tuple(() for _ in datasets),
+            frozenset(),
+            tuple(len(shard) for shard in datasets),
+        )
+
     def _publish_state(self, shard_map: ShardMap) -> None:
         """Atomically install the successor shard map (one assignment)."""
         self._state = shard_map
-        # getattr: the legacy __setstate__ migration publishes before the
-        # telemetry defaults are applied.
-        events = getattr(self, "_events", None)
-        if events is not None:
-            events.emit(
+        if self._events is not None:
+            self._events.emit(
                 "epoch_publish",
                 epoch=shard_map.epoch_id,
                 shards=len(shard_map.datasets),
@@ -402,72 +509,31 @@ class ShardedQueryEngine:
                 tombstones=len(shard_map.tombstones),
             )
 
-    def __getstate__(self) -> Dict[str, Any]:
-        # The event log is a live operational attachment (often shared
-        # across the serving stack); never persisted with the engine.
-        state = dict(self.__dict__)
-        state["_events"] = None
-        return state
-
     def __setstate__(self, state: Dict[str, Any]) -> None:
-        # Mirror QueryEngine.__setstate__: engines pickled before the trace
-        # layer existed default to tracing-off with a fresh private registry.
         # Engines pickled before the copy-on-write shard map existed carry
-        # plain shard_datasets / shard_engines / shard_bounds attributes
-        # (now read-only properties over the map): migrate them into an
-        # epoch-0 ShardMap with empty deltas and tombstones.
+        # plain shard_datasets / shard_engines (and, from the concurrent
+        # fan-out on, shard_bounds) attributes, now read-only properties
+        # over the map: migrate them into an epoch-0 ShardMap with empty
+        # deltas and tombstones.  Such maps never took an insert, so their
+        # bounds are the engines' corpus boxes.
         legacy_datasets = state.pop("shard_datasets", None)
         legacy_engines = state.pop("shard_engines", None)
-        legacy_bounds = state.pop("shard_bounds", None)
-        self.__dict__.update(state)
-        self.__dict__.setdefault("tracing", False)
-        if self.__dict__.get("metrics") is None:
-            self.metrics = MetricsRegistry()
-        # Engines pickled before the vectorized backend existed.
-        self.__dict__.setdefault("backend", "cost_model")
+        state.pop("shard_bounds", None)
+        super().__setstate__(state)
         # Engines pickled before online rebalancing existed.
         self.__dict__.setdefault("_sample_size", 256)
         self.__dict__.setdefault("_seed", 0)
-        self.__dict__.setdefault("_keep_records", 1024)
         self.__dict__.setdefault("rebalance_threshold", 1.5)
         self.__dict__.setdefault("_rebalances", 0)
-        # Engines pickled before the telemetry subsystem.
-        self.__dict__.setdefault("_events", None)
-        if self.__dict__.get("stats_collector") is None:
-            self.stats_collector = StatsCollector()
         if "_state" not in self.__dict__ and legacy_datasets is not None:
-            datasets = tuple(legacy_datasets)
-            engines = (
-                tuple(legacy_engines)
-                if legacy_engines is not None
-                else tuple(self._build_engines(datasets))
-            )
-            bounds = (
-                tuple(legacy_bounds)
-                if legacy_bounds is not None
-                # Engines pickled before the concurrent fan-out existed.
-                else tuple(_bounding_rect(shard) for shard in datasets)
-            )
-            self._objects = {
-                obj.oid: obj for shard in datasets for obj in shard.objects
-            }
-            self._owner = {
-                obj.oid: shard_id
-                for shard_id, shard in enumerate(datasets)
-                for obj in shard.objects
-            }
-            self._next_oid = max(self._objects, default=-1) + 1
             self._publish_state(
-                ShardMap(
+                self._fresh_map(
                     0,
-                    datasets,
-                    engines,
-                    bounds,
-                    tuple(() for _ in datasets),
-                    frozenset(),
-                    tuple(len(shard) for shard in datasets),
+                    tuple(legacy_datasets),
+                    None if legacy_engines is None else tuple(legacy_engines),
                 )
             )
+            self._next_oid = max(self._objects, default=-1) + 1
 
     # -- published shard map -----------------------------------------------------
 
@@ -503,10 +569,8 @@ class ShardedQueryEngine:
     @property
     def shard_bounds(self) -> List[Optional[Rect]]:
         """Per-shard pruning boxes (``None`` for empty shards), refreshed on
-        every publish.  The sequential path fans out to every shard
-        regardless (preserving the pinned trace shape); the concurrent front
-        end uses these to skip shards whose bounds miss the query rectangle.
-        """
+        every publish: the fan-out skips a shard whose box misses the query
+        rectangle."""
         return list(self._state.bounds)
 
     # -- updates -----------------------------------------------------------------
@@ -672,15 +736,8 @@ class ShardedQueryEngine:
             for oid, obj in sorted(self._objects.items())
             if oid not in tombstones
         ]
-        self._objects = {obj.oid: obj for obj in live}
         dim = self.dataset.dim if self.dataset.dim is not None else 1
         dataset = Dataset(live) if live else Dataset.empty(dim)
-        datasets = tuple(partition_dataset(dataset, self.num_shards))
-        self._owner = {
-            obj.oid: shard_id
-            for shard_id, shard in enumerate(datasets)
-            for obj in shard.objects
-        }
         self._rebalances += 1
         self.metrics.counter("rebalances_total").inc()
         if self._events is not None:
@@ -691,14 +748,9 @@ class ShardedQueryEngine:
                 live=len(live),
                 purged=len(tombstones),
             )
-        return ShardMap(
+        return self._fresh_map(
             self._state.epoch_id + 1,
-            datasets,
-            tuple(self._build_engines(datasets)),
-            tuple(_bounding_rect(shard) for shard in datasets),
-            tuple(() for _ in datasets),
-            frozenset(),
-            tuple(len(shard) for shard in datasets),
+            tuple(partition_dataset(dataset, self.num_shards)),
         )
 
     def _meter_shards(self) -> None:
@@ -725,361 +777,23 @@ class ShardedQueryEngine:
         budget: Optional[int] = None,
         counter: Optional[CostCounter] = None,
     ) -> Tuple[KeywordObject, ...]:
-        """Fan one query out across every shard; merge results and traces.
+        """Serve one query through the fan-out plan, running shards inline.
 
         Same contract as :meth:`QueryEngine.query`: exact answers as an
         immutable tuple (sorted by object id — the shard merge defines a
         deterministic order), a per-query trace in :attr:`last_record`, and
         ``BudgetExceeded`` never escaping.
         """
-        rect, words = self._validate(rect, keywords)
-        budget = budget if budget is not None else self.default_budget
-        caller = ensure_counter(counter)
-        # Pin the published map once: the whole fan-out (and the cache key)
-        # runs against one consistent shard layout even if a writer
-        # publishes an insert or a rebalance cutover mid-flight.
-        state = self._state
-        self._queries_served += 1
-        query_id = self._queries_served
-        self.metrics.counter("queries_total").inc()
-
-        tracer: Optional[Tracer] = None
-        if self.tracing:
-            tracer = Tracer(
-                "sharded_query", "sharding",
-                query_id=query_id, shards=len(state.engines),
-            )
-
-        # The map's epoch is part of the key, so a mutation implicitly
-        # invalidates every cached merged result from older layouts.
-        key = (state.epoch_id, rect.lo, rect.hi, frozenset(words))
-        cached, hit = self._cache.lookup(key)
-        if hit:
-            return self._finish_cache_hit(
-                query_id, rect, words, budget, cached, tracer
-            )
-        self.metrics.counter("cache_misses_total").inc()
-
-        spent = CostCounter()  # merged per-query accumulator, never budgeted
-        fallbacks: List[Dict[str, Any]] = []
-        slices: List[Dict[str, Any]] = []
-        merged: List[KeywordObject] = []
-        remaining = budget
-        num_shards = len(state.engines)
-        for shard_id in range(num_shards):
-            if budget is None:
-                share: Optional[int] = None
-            else:
-                share = shard_share(remaining, num_shards - shard_id)
-            objs, probe, trace = self._query_shard(
-                state, shard_id, rect, words, share, tracer
-            )
-            merged.extend(objs)
-            if budget is not None:
-                # Unused share returns to the pool for the stragglers; an
-                # overrun (fallbacks / degradation) is charged at most the
-                # share, so one hot shard cannot starve the rest.  The share
-                # never exceeds the pool, so the pool stays non-negative.
-                remaining -= min(probe.total, share)
-            for fallback in trace.fallbacks:
-                fallbacks.append(dict(fallback, shard=shard_id))
-            slices.append(
-                {
-                    "shard_id": shard_id,
-                    "strategy": trace.strategy,
-                    "budget": share,
-                    "cost": probe.total,
-                    "degraded": trace.degraded,
-                }
-            )
-            spent.merge(probe)
-
-        results = self._merge_results(merged)
-        return self._finish_fanout(
-            query_id=query_id,
-            rect=rect,
-            words=words,
-            budget=budget,
-            spent=spent,
-            fallbacks=fallbacks,
-            slices=slices,
-            results=results,
-            caller=caller,
-            tracer=tracer,
-            cache_key=key,
-        )
-
-    def _validate(
-        self, rect: Union[Rect, Sequence[float]], keywords: Sequence[int]
-    ) -> Tuple[Rect, List[int]]:
-        """Coerce and validate a query's rectangle and keyword set."""
-        rect = QueryEngine._coerce_rect(rect)
-        words = sorted(set(validate_nonempty_keywords(keywords)))
-        if len(words) > self.max_k:
-            raise ValidationError(
-                f"{len(words)} distinct keywords exceed max_k={self.max_k}"
-            )
-        if self.dataset.dim is not None and rect.dim != self.dataset.dim:
-            raise ValidationError(
-                f"query rectangle is {rect.dim}-dimensional, "
-                f"data is {self.dataset.dim}-dimensional"
-            )
-        return rect, words
-
-    def _finish_cache_hit(
-        self,
-        query_id: int,
-        rect: Rect,
-        words: Sequence[int],
-        budget: Optional[int],
-        cached: Tuple[KeywordObject, ...],
-        tracer: Optional[Tracer],
-    ) -> Tuple[KeywordObject, ...]:
-        """Record and meter a cache hit (shared with the async front end)."""
-        record = QueryRecord(
-            query_id=query_id,
-            rect_lo=rect.lo,
-            rect_hi=rect.hi,
-            keywords=tuple(words),
-            strategy="cache",
-            cache="hit",
-            budget=budget,
-            result_count=len(cached),
-        )
-        if tracer is not None:
-            record.trace = tracer.finish().to_dict()
-        self._records.append(record)
-        self._strategy_counts["cache"] = self._strategy_counts.get("cache", 0) + 1
-        self.metrics.counter("cache_hits_total").inc()
-        self.metrics.counter("strategy_cache_total").inc()
-        if self._events is not None:
-            self._events.emit(
-                "query_finish",
-                query_id=query_id,
-                strategy="cache",
-                cache="hit",
-                cost_total=0,
-                result_count=len(cached),
-                degraded=False,
-            )
-        return cached
-
-    def _query_shard(
-        self,
-        state: ShardMap,
-        shard_id: int,
-        rect: Rect,
-        words: Sequence[int],
-        share: Optional[int],
-        tracer: Optional[Tracer],
-    ) -> Tuple[List[KeywordObject], CostCounter, QueryRecord]:
-        """Serve one shard's slice of the pinned map under its budget share.
-
-        The base engine answers for the shard's build-time dataset; objects
-        inserted since the last rebalance live in the map's delta buffer and
-        are scanned on top (fully charged); tombstoned objects are filtered
-        from the combined slice.  Returns the shard's objects, the probe
-        counter holding its spend, and its :class:`QueryRecord` (read back
-        immediately after the query, so callers that serialize per-engine
-        access can run shards from a worker pool without racing on
-        ``last_record``).
-        """
-        engine = state.engines[shard_id]
-        probe = CostCounter()
-        if tracer is None:
-            objs = list(engine.query(rect, words, budget=share, counter=probe))
-        else:
-            with tracer.span(f"shard-{shard_id}", "sharding", budget=share):
-                objs = list(
-                    engine.query(
-                        rect, words, budget=share, counter=probe, tracer=tracer
-                    )
-                )
-        delta = state.deltas[shard_id]
-        if delta:
-            required = set(words)
-            with span_for(probe, "delta-scan", "sharding", shard=shard_id):
-                for obj in delta:
-                    probe.charge("objects_examined")
-                    probe.charge("comparisons")
-                    if rect.contains_point(obj.point) and required <= obj.doc:
-                        objs.append(obj)
-        if state.tombstones:
-            with span_for(probe, "tombstone-filter", "sharding", shard=shard_id):
-                kept = []
-                for obj in objs:
-                    probe.charge("structure_probes")
-                    if obj.oid not in state.tombstones:
-                        kept.append(obj)
-                objs = kept
-        return objs, probe, engine.last_record
-
-    @staticmethod
-    def _merge_results(merged: List[KeywordObject]) -> Tuple[KeywordObject, ...]:
-        """Dedup by object id and fix a deterministic (id-sorted) order.
-
-        The shards partition the objects, so duplicates cannot arise; the
-        dedup guards the invariant anyway (a future overlap bug must not
-        silently double-report).
-        """
-        seen: set = set()
-        unique = []
-        for obj in merged:
-            if obj.oid not in seen:
-                seen.add(obj.oid)
-                unique.append(obj)
-        unique.sort(key=lambda obj: obj.oid)
-        return tuple(unique)
-
-    def _finish_fanout(
-        self,
-        *,
-        query_id: int,
-        rect: Rect,
-        words: Sequence[int],
-        budget: Optional[int],
-        spent: CostCounter,
-        fallbacks: List[Dict[str, Any]],
-        slices: List[Dict[str, Any]],
-        results: Tuple[KeywordObject, ...],
-        caller: CostCounter,
-        tracer: Optional[Tracer],
-        cache_key: Optional[Tuple] = None,
-    ) -> Tuple[KeywordObject, ...]:
-        """Record, cache, meter, and account one completed fan-out.
-
-        Shared between the sequential path and the async front end (which
-        assembles ``slices``/``spent`` from a concurrent fan-out and then
-        finishes on its event-loop thread — the cache and the record deque
-        are not thread-safe, so this must not run concurrently with itself).
-        """
-        degraded_slices = sum(1 for s in slices if s["degraded"])
-        degraded = degraded_slices > 0
-        if cache_key is not None:
-            evicted = self._cache.put(cache_key, results)
-            if evicted and self._events is not None:
-                self._events.emit(
-                    "cache_evict", query_id=query_id, evicted=evicted,
-                    size=len(self._cache), capacity=self._cache.capacity,
-                )
-        record = QueryRecord(
-            query_id=query_id,
-            rect_lo=rect.lo,
-            rect_hi=rect.hi,
-            keywords=tuple(words),
-            strategy="sharded",
-            cache="miss",
-            budget=budget,
-            degraded=degraded,
-            fallbacks=fallbacks,
-            cost=spent.snapshot(),
-            estimates={},
-            result_count=len(results),
-            shards=slices,
-        )
-        if tracer is not None:
-            record.trace = tracer.finish().to_dict()
-        self._records.append(record)
-        self._strategy_counts["sharded"] = self._strategy_counts.get("sharded", 0) + 1
-        self._fallback_count += len(fallbacks)
-        self._degraded_slices += degraded_slices
-        if degraded:
-            self._degraded_count += 1
-        self._observe_metrics(
-            len(fallbacks), degraded, degraded_slices, spent.snapshot(), len(results)
-        )
-        self.stats_collector.observe(
-            "sharded",
-            self.backend,
-            record.cost.get("total", 0),
-            len(results),
-            corpus_size=self._state.live_count,
-        )
-        if self._events is not None:
-            if degraded:
-                self._events.emit(
-                    "query_degraded",
-                    query_id=query_id,
-                    strategy="sharded",
-                    fallbacks=len(fallbacks),
-                    budget=budget,
-                    cost_total=record.cost.get("total", 0),
-                    degraded_slices=degraded_slices,
-                )
-            self._events.emit(
-                "query_finish",
-                query_id=query_id,
-                strategy="sharded",
-                cache="miss",
-                cost_total=record.cost.get("total", 0),
-                result_count=len(results),
-                degraded=degraded,
-            )
-        # Caller accounting last and non-raising (absorb, not merge): same
-        # invariant as QueryEngine._finish — a budgeted caller counter must
-        # never lose the trace or the cache entry to BudgetExceeded.
-        self.counter.absorb(spent)
-        caller.absorb(spent)
-        return results
-
-    def _observe_metrics(
-        self,
-        fallback_count: int,
-        degraded: bool,
-        degraded_slices: int,
-        cost: Dict[str, int],
-        result_count: int,
-    ) -> None:
-        """Feed the registry one executed (non-cache-hit) fan-out outcome."""
-        metrics = self.metrics
-        metrics.counter("strategy_sharded_total").inc()
-        if fallback_count:
-            metrics.counter("fallbacks_total").inc(fallback_count)
-            metrics.counter("budget_exhausted_total").inc()
-        if degraded:
-            metrics.counter("degraded_total").inc()
-        if degraded_slices:
-            metrics.counter("degraded_slices_total").inc(degraded_slices)
-        for category in CATEGORIES:
-            metrics.histogram(f"cost_{category}").observe(cost.get(category, 0))
-        metrics.histogram("cost_total").observe(cost.get("total", 0))
-        metrics.histogram("result_count").observe(result_count)
-
-    def batch(
-        self,
-        queries: Iterable[QuerySpec],
-        budget: Optional[int] = None,
-        counter: Optional[CostCounter] = None,
-    ) -> List[Tuple[KeywordObject, ...]]:
-        """Serve a sequence of ``(rect, keywords)`` queries in order."""
-        return [
-            self.query(rect, keywords, budget=budget, counter=counter)
-            for rect, keywords in queries
-        ]
+        plan = Fanout(self, rect, keywords, budget, counter)
+        if plan.results is None:
+            plan.finish([plan.run(shard_id) for shard_id in plan.active])
+        return plan.results
 
     # -- observability -----------------------------------------------------------
 
     @property
-    def records(self) -> List[QueryRecord]:
-        """The retained merged per-query traces, oldest first."""
-        return list(self._records)
-
-    @property
-    def last_record(self) -> Optional[QueryRecord]:
-        return self._records[-1] if self._records else None
-
-    @property
-    def cache(self) -> LRUCache:
-        return self._cache
-
-    @property
-    def events(self) -> Optional[EventLog]:
-        """The attached structured event log (``None`` when not wired)."""
-        return self._events
-
-    def attach_events(self, events: Optional[EventLog]) -> None:
-        """Attach (or detach with ``None``) a structured event log."""
-        self._events = events
+    def _corpus_size(self) -> int:
+        return self._state.live_count
 
     def planner_stats(self) -> Dict[str, Any]:
         """The stable statistics feed: fan-out cells plus every shard's.
@@ -1096,63 +810,29 @@ class ShardedQueryEngine:
 
     def stats(self) -> Dict[str, Any]:
         """Lifetime statistics with a per-shard breakdown (JSON-safe)."""
-        return {
-            "queries": self._queries_served,
-            "strategies": dict(self._strategy_counts),
-            "fallbacks": self._fallback_count,
-            "degraded": self._degraded_count,
-            "degraded_slices": self._degraded_slices,
-            "cache": self._cache.stats(),
-            "cost": self.counter.snapshot(),
-            "dataset": {
-                "objects": len(self.dataset),
-                "input_size": self.dataset.total_doc_size,
-                "dim": self.dataset.dim,
-                "vocabulary": len(self.vocabulary),
-            },
-            "shards": {
-                "count": self.num_shards,
-                "sizes": [len(shard) for shard in self.shard_datasets],
-                "epoch": self._state.epoch_id,
-                "live_sizes": list(self._state.live_sizes),
-                "delta_sizes": [len(delta) for delta in self._state.deltas],
-                "tombstones": len(self._state.tombstones),
-                "rebalances": self._rebalances,
-                "per_shard": [
-                    {
-                        "shard_id": shard_id,
-                        "objects": len(engine.dataset),
-                        "input_size": engine.dataset.total_doc_size,
-                        "cost": engine.counter.snapshot(),
-                        "degraded": engine.stats()["degraded"],
-                    }
-                    for shard_id, engine in enumerate(self.shard_engines)
-                ],
-            },
-            "max_k": self.max_k,
-            "default_budget": self.default_budget,
-            "backend": getattr(self, "backend", "cost_model"),
-            "metrics": self.metrics.snapshot(),
+        stats = super().stats()
+        stats["degraded_slices"] = self._degraded_slices
+        stats["dataset"]["vocabulary"] = len(self.vocabulary)
+        stats["shards"] = {
+            "count": self.num_shards,
+            "sizes": [len(shard) for shard in self.shard_datasets],
+            "epoch": self._state.epoch_id,
+            "live_sizes": list(self._state.live_sizes),
+            "delta_sizes": [len(delta) for delta in self._state.deltas],
+            "tombstones": len(self._state.tombstones),
+            "rebalances": self._rebalances,
+            "per_shard": [
+                {
+                    "shard_id": shard_id,
+                    "objects": len(engine.dataset),
+                    "input_size": engine.dataset.total_doc_size,
+                    "cost": engine.counter.snapshot(),
+                    "degraded": engine.stats()["degraded"],
+                }
+                for shard_id, engine in enumerate(self.shard_engines)
+            ],
         }
-
-    def export_stats_json(self, indent: Optional[int] = 2) -> str:
-        return json.dumps(self.stats(), indent=indent, sort_keys=True)
-
-    def export_records_json(self) -> str:
-        """All retained merged traces as a JSON array (oldest first)."""
-        return json.dumps(
-            [record.to_dict() for record in self._records], sort_keys=True
-        )
-
-    @property
-    def dim(self) -> Optional[int]:
-        """Dimensionality of the served points (mirrors the index classes)."""
-        return self.dataset.dim
-
-    @property
-    def input_size(self) -> int:
-        """``N`` (mirrors the index classes, for ``cli info``)."""
-        return self.dataset.total_doc_size
+        return stats
 
     @property
     def space_units(self) -> int:

@@ -89,18 +89,50 @@ class TestDifferentialPlain:
 
 class TestDifferentialSharded:
     def test_identical_to_sync_sharded_engine(self, rng):
-        dataset = random_dataset(rng, 300)
-        sync = ShardedQueryEngine(dataset, shards=4, cache_size=0)
-        wrapped = ShardedQueryEngine(dataset, shards=4, cache_size=0)
-        workload = small_workload(rng)
+        """One engine, record for record: a query served inline and through
+        the pool returns the same results, cost, shard slices, degraded flag
+        and fallbacks — on the built layout, after inserts inside and
+        outside the build bounds and deletes, and after a rebalance."""
+        workload = []
+        for _ in range(12):
+            # Corners beyond the data box too: rects that miss every shard,
+            # and rects that reach the objects inserted outside it.
+            a, b = sorted(rng.uniform(-5.0, 15.0) for _ in range(2))
+            c, d = sorted(rng.uniform(-5.0, 15.0) for _ in range(2))
+            workload.append((Rect((a, c), (b, d)), rng.sample(range(1, 9), 2)))
 
-        async def drive():
-            async with AsyncQueryEngine(wrapped) as engine:
-                return await engine.batch(workload, budget=400)
+        def outcome(engine, results):
+            record = engine.last_record
+            return (
+                results, record.cost, record.shards, record.degraded,
+                record.fallbacks,
+            )
 
-        got = asyncio.run(drive())
-        expect = [sync.query(rect, words, budget=400) for rect, words in workload]
-        assert got == expect
+        async def drive(engine, shards):
+            async with AsyncQueryEngine(engine) as front:
+                for rect, words in workload:
+                    for budget in (None, 4096, shards):
+                        inline = outcome(engine, engine.query(rect, words, budget=budget))
+                        pooled = outcome(
+                            engine, await front.query(rect, words, budget=budget)
+                        )
+                        assert pooled == inline, (shards, budget, rect, words)
+
+        for shards in (1, 2, 4, 7):
+            dataset = random_dataset(rng, 300)
+            engine = ShardedQueryEngine(dataset, shards=shards, cache_size=0)
+            asyncio.run(drive(engine, shards))
+            # Inserts inside the build bounds, then outside them.
+            for lo_x, hi_x, lo_y, hi_y, count in ((0, 10, 0, 10, 12), (11, 14, -4, -1, 6)):
+                for _ in range(count):
+                    point = (rng.uniform(lo_x, hi_x), rng.uniform(lo_y, hi_y))
+                    engine.insert(point, rng.sample(range(1, 9), 3))
+            for oid in rng.sample(sorted(obj.oid for obj in dataset.objects), 20):
+                engine.delete(oid)
+            assert engine.epoch.tombstones and any(engine.epoch.deltas)
+            asyncio.run(drive(engine, shards))
+            engine.rebalance()
+            asyncio.run(drive(engine, shards))
 
     def test_matches_unsharded_engine_result_sets(self, rng):
         dataset = random_dataset(rng, 300)

@@ -1,75 +1,25 @@
 """Exhaustive small-budget properties of the fan-out budget split.
 
-The sequential fan-out grants shard ``i`` (with ``left`` shards to go)
-``shard_share(pool, left) = ceil(pool / left)`` units and refunds unspent
-units to the pool.  The concurrent fan-out fixes shares upfront with
-``split_budget_exact``.  Both must conserve budget exactly: no unit lost,
+The fan-out prunes shards whose bounds miss the rectangle and fixes the
+shares of the shards that run upfront with ``split_budget_exact``, before
+any of them runs.  The split must conserve budget exactly: no unit lost,
 no unit granted twice — the regression here is the old
 ``max(pool // left, 1)`` rule, which minted extra units once the pool ran
 dry (B=2 over four shards granted 4 units).
 """
-
-import itertools
-import random
 
 import pytest
 
 from repro.costmodel import CostCounter
 from repro.geometry.rectangles import Rect
 from repro.service import ShardedQueryEngine
-from repro.service.sharding import shard_share, split_budget_exact
+from repro.service.sharding import split_budget_exact
 from repro.errors import ValidationError
 
 from helpers import random_dataset
 
 SHARD_COUNTS = (1, 2, 3, 4, 7)
 BUDGETS = range(0, 61)
-
-
-class TestShardShare:
-    @pytest.mark.parametrize("shards", SHARD_COUNTS)
-    def test_full_spend_telescopes_exactly(self, shards):
-        """Every shard spending its whole grant consumes exactly B."""
-        for budget in BUDGETS:
-            pool = budget
-            granted = []
-            for left in range(shards, 0, -1):
-                share = shard_share(pool, left)
-                assert 0 <= share <= pool
-                pool -= share
-            granted = budget - pool
-            assert pool == 0
-            assert granted == budget
-
-    @pytest.mark.parametrize("shards", SHARD_COUNTS)
-    def test_partial_spend_conserves_budget(self, shards):
-        """With arbitrary per-shard spends, the charged total never exceeds
-        B and the pool never goes negative (exhaustive over small spends)."""
-        for budget in range(0, 13):
-            spend_space = itertools.product(range(0, 5), repeat=shards)
-            for spends in itertools.islice(spend_space, 300):
-                pool = budget
-                charged = 0
-                for shard, spent in enumerate(spends):
-                    share = shard_share(pool, shards - shard)
-                    used = min(spent, share)
-                    pool -= used
-                    charged += used
-                    assert pool >= 0
-                assert charged <= budget
-                assert charged + pool == budget
-
-    def test_regression_dry_pool_grants_zero(self):
-        """The old rule granted max(0 // left, 1) = 1 from an empty pool."""
-        assert shard_share(0, 4) == 0
-        assert shard_share(0, 1) == 0
-        # B=2 over 4 shards: grants are 1,1,0,0 — exactly 2 units, not 4.
-        pool, grants = 2, []
-        for left in (4, 3, 2, 1):
-            share = shard_share(pool, left)
-            grants.append(share)
-            pool -= share
-        assert grants == [1, 1, 0, 0]
 
 
 class TestSplitBudgetExact:
@@ -90,24 +40,33 @@ class TestSplitBudgetExact:
 class TestEngineGrantAccounting:
     @pytest.mark.parametrize("shards", SHARD_COUNTS)
     def test_served_grants_conserve_budget(self, shards, rng):
-        """On a real engine, per-slice charges sum to at most B, and the
-        grant sequence matches the ceil rule replayed from the slices."""
+        """On a real engine, the shards that run get split_budget_exact(B,
+        active) in shard order — summing to exactly B — and pruned slices
+        get budget 0 and cost 0."""
         dataset = random_dataset(rng, 120)
         engine = ShardedQueryEngine(dataset, shards=shards, cache_size=0)
-        for budget in (1, 2, 3, 5, 8, 20, 100):
-            counter = CostCounter()
-            engine.query(Rect.full(2), [1, 2], budget=budget, counter=counter)
-            slices = engine.last_record.shards
-            pool = budget
-            charged = 0
-            for entry in slices:
-                share = shard_share(pool, shards - entry["shard_id"])
-                assert entry["budget"] == share
-                used = min(entry["cost"], share)
-                pool -= used
-                charged += used
-                assert pool >= 0
-            assert charged <= budget
+        corners = (Rect((0.0, 0.0), (2.5, 2.5)), Rect((9.0, 9.0), (10.0, 10.0)))
+        for rect in (Rect.full(2),) + corners:
+            for budget in (1, 2, 3, 5, 8, 20, 100):
+                counter = CostCounter()
+                engine.query(rect, [1, 2], budget=budget, counter=counter)
+                slices = engine.last_record.shards
+                assert [s["shard_id"] for s in slices] == list(range(shards))
+                active = [s for s in slices if s["strategy"] != "pruned"]
+                expected = [
+                    shard_id
+                    for shard_id, bounds in enumerate(engine.shard_bounds)
+                    if bounds is not None and rect.intersects(bounds)
+                ]
+                assert [s["shard_id"] for s in active] == expected
+                if active:
+                    shares = [s["budget"] for s in active]
+                    assert shares == split_budget_exact(budget, len(active))
+                    assert sum(shares) == budget
+                for entry in slices:
+                    if entry["strategy"] == "pruned":
+                        assert entry["budget"] == 0 and entry["cost"] == 0
+                assert counter.total == sum(s["cost"] for s in slices)
 
     def test_tiny_budget_still_exact_answers(self, rng):
         """Zero-grant shards degrade but never drop results."""

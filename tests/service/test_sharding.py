@@ -10,6 +10,7 @@ from repro.errors import ValidationError
 from repro.geometry.rectangles import Rect
 from repro.persist import load_index, save_index
 from repro.service import QueryEngine, ShardedQueryEngine, partition_dataset
+from repro.service.sharding import split_budget_exact
 
 from helpers import random_dataset
 
@@ -98,17 +99,22 @@ class TestShardedServing:
         engine.query(Rect.full(2), [1, 2])
         assert engine.last_record.cache == "hit"
 
-    def test_unused_budget_redistributes_to_stragglers(self, rng):
-        """Later shards' shares grow when earlier shards underspend."""
+    def test_budget_split_exactly_over_running_shards(self, rng):
+        """The shards that run share B exactly (split_budget_exact); the
+        shards the rectangle misses are pruned with budget 0 and cost 0."""
         ds = random_dataset(rng, 200)
         engine = ShardedQueryEngine(ds, shards=4, max_k=2, cache_size=0)
-        # A sliver rectangle: most shards are cheap misses, so the pool
-        # carries their unused units forward.
+        # A sliver rectangle: most shards' bounds miss it.
         engine.query(Rect((9.5, 9.5), (10.0, 10.0)), [1, 2], budget=100)
         slices = engine.last_record.shards
-        base = 100 // 4
-        assert slices[0]["budget"] == base
-        assert any(s["budget"] > base for s in slices[1:])
+        assert len(slices) == 4
+        active = [s for s in slices if s["strategy"] != "pruned"]
+        pruned = [s for s in slices if s["strategy"] == "pruned"]
+        assert active and pruned
+        assert [s["budget"] for s in active] == split_budget_exact(100, len(active))
+        assert sum(s["budget"] for s in active) == 100
+        for entry in pruned:
+            assert entry["budget"] == 0 and entry["cost"] == 0
 
     def test_degradation_stays_per_slice(self, rng):
         """A starved fan-out degrades shard slices, not strategies globally;
