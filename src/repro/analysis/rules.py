@@ -1145,7 +1145,7 @@ class SpanDiscipline(ProjectRule):
     id = "R10"
     title = "cost charged or merged outside an open trace span"
     severity = "warning"
-    scope = re.compile(r"(^|/)repro/(core/dynamic\.py|service/|fast/|trace/)")
+    scope = re.compile(r"(^|/)repro/(core/dynamize\.py|service/|fast/|trace/)")
 
     def check_project(self, model: ProjectModel) -> Iterator[Finding]:
         for info in model.functions:

@@ -8,8 +8,8 @@ accounting together by hand.  This package is that layer for :mod:`repro`:
   and :class:`~repro.core.planner.HybridPlanner`, executes single and batched
   queries under an explicit cost budget, and degrades gracefully (budget
   blow-ups become recorded fallbacks, never exceptions); it shares its
-  validation, cache-hit record, finish step and read side with the sharded
-  engine through ``ServingBase``;
+  validation, cache-hit record, finish step, record sink and read side
+  with the sharded engine through ``ServingBase``;
 * :class:`LRUCache` — bounded result cache with hit/miss accounting;
 * :class:`QueryRecord` — per-query observability record (strategy chosen,
   fallbacks taken, cost snapshot, cache status, per-shard slices),

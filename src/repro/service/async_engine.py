@@ -206,10 +206,9 @@ class AsyncQueryEngine:
             max_workers=shards if max_workers is None else max_workers,
             thread_name_prefix="repro-serve",
         )
-        # One lock per shard (a plain engine is one shard): same-shard calls
-        # never overlap, so an engine's record is read back by its own query.
+        # One lock per shard (a plain engine is one shard): the planners keep
+        # per-call state, so same-shard calls must never overlap.
         self._locks = [threading.Lock() for _ in range(shards)]
-        self._shed_count = 0
 
     # -- lifecycle ---------------------------------------------------------------
 
@@ -303,7 +302,6 @@ class AsyncQueryEngine:
         reason: str = "shed:admission",
     ) -> QueryRecord:
         """Append a refused query's record (strategy ``shed``) and meter it."""
-        self._shed_count += 1
         self.metrics.counter("shed_total").inc()
         if reason != "shed:admission":
             self.metrics.counter("shed_slo_total").inc()
@@ -411,13 +409,14 @@ class AsyncQueryEngine:
 
     def stats(self) -> Dict[str, Any]:
         """Serving-layer stats above the wrapped engine's own ``stats()``."""
+        metrics = self.metrics.snapshot()
         stats = {
             "engine": self.engine.stats(),
-            "shed": self._shed_count,
+            "shed": metrics["counters"].get("shed_total", 0),
             "max_inflight_cost": self.admission.max_inflight_cost,
             "inflight_cost": self.admission.inflight_cost,
             "inflight_queries": self.admission.inflight_queries,
-            "metrics": self.metrics.snapshot(),
+            "metrics": metrics,
         }
         if self.slo is not None:
             stats["slo"] = self.slo.report()

@@ -27,7 +27,7 @@ import json
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Deque, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Any, Deque, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from ..costmodel import CATEGORIES, CostCounter, ensure_counter
 from ..dataset import Dataset, KeywordObject, validate_nonempty_keywords
@@ -106,6 +106,17 @@ class QueryRecord:
         return json.dumps(self.to_dict(), sort_keys=True)
 
 
+class Outcome(NamedTuple):
+    """What executing one query produced, before anything records it."""
+
+    results: Sequence[KeywordObject]
+    strategy: str
+    backend: str
+    fallbacks: List[Dict[str, Any]]
+    estimates: Dict[str, Any]
+    degraded: bool
+
+
 def _bounding_rect(dataset: Dataset) -> Optional[Rect]:
     """Tightest axis-aligned box around ``dataset`` (``None`` when empty)."""
     if not len(dataset):
@@ -120,10 +131,10 @@ class ServingBase:
     """What :class:`QueryEngine` and
     :class:`~repro.service.sharding.ShardedQueryEngine` share: one query
     validation, one cache-hit record, one finish step (cache put, record,
-    tallies, registry metrics, :class:`StatsCollector`, events, caller
-    accounting) and the read side.  A subclass sets ``dataset`` and
-    ``max_k``, calls :meth:`_init_serving`, and serves a query as
-    :meth:`_begin`, :meth:`_cached` and, on a miss, :meth:`_finish`.
+    caller accounting), one record sink and the read side.  A subclass sets
+    ``dataset`` and ``max_k``, calls :meth:`_init_serving`, and serves a
+    query as :meth:`_begin`, :meth:`_cached` and, on a miss, :meth:`_finish`.
+    Every tally is a view of the records, derived in :meth:`_record` alone.
     """
 
     def _init_serving(
@@ -149,10 +160,6 @@ class ServingBase:
         self._cache = LRUCache(cache_size)
         self._records: Deque[QueryRecord] = deque(maxlen=keep_records)
         self._queries_served = 0
-        self._strategy_counts: Dict[str, int] = {}
-        self._fallback_count = 0
-        self._degraded_count = 0
-        self._degraded_slices = 0  # fanned-out queries only
 
     def __getstate__(self) -> Dict[str, Any]:
         # The event log is a live operational attachment (often shared
@@ -239,9 +246,7 @@ class ServingBase:
         given, finished into its record); ``None`` on a miss."""
         cached, hit = self._cache.lookup(key)
         if not hit:
-            self.metrics.counter("cache_misses_total").inc()
             return None
-        self.metrics.counter("cache_hits_total").inc()
         record = QueryRecord(
             query_id=query_id,
             rect_lo=rect.lo,
@@ -256,15 +261,11 @@ class ServingBase:
         return cached
 
     def _finish(
-        self, query_id: int, rect: Rect, words: Sequence[int],
-        results: Iterable[KeywordObject], strategy: str, budget: Optional[int],
-        spent: CostCounter, caller: CostCounter, key: Tuple,
-        tracer: Optional[Tracer] = None, *, backend: str = "cost_model",
-        fallbacks: Sequence[Dict[str, Any]] = (),
-        estimates: Optional[Dict[str, Any]] = None, degraded: bool = False,
-        slices: Sequence[Dict[str, Any]] = (),
+        self, query_id: int, rect: Rect, words: Sequence[int], budget: Optional[int],
+        spent: CostCounter, caller: CostCounter, key: Tuple, tracer: Optional[Tracer],
+        outcome: Outcome, slices: Sequence[Dict[str, Any]] = (),
     ) -> Tuple[KeywordObject, ...]:
-        """Cache, record, meter and account one executed query.
+        """Cache, record and account one executed query.
 
         ``slices`` are a fan-out's per-shard slices; the query is degraded
         when any slice is.  Not thread-safe (the cache and the record deque
@@ -275,60 +276,28 @@ class ServingBase:
         # counter may carry its own budget, and the engine's contract is that
         # BudgetExceeded never escapes query() — the trace and the cache entry
         # must land even when the caller's budget is already blown.
-        results = tuple(results)
+        results = tuple(outcome.results)
         evicted = self._cache.put(key, results)
         if evicted and self._events is not None:
             self._events.emit(
                 "cache_evict", query_id=query_id, evicted=evicted,
                 size=len(self._cache), capacity=self._cache.capacity,
             )
-        degraded_slices = sum(1 for entry in slices if entry["degraded"])
-        degraded = degraded or degraded_slices > 0
-        cost = spent.snapshot()
-        metrics = self.metrics
-        if fallbacks:
-            self._fallback_count += len(fallbacks)
-            metrics.counter("fallbacks_total").inc(len(fallbacks))
-            metrics.counter("budget_exhausted_total").inc()
-        if degraded:
-            self._degraded_count += 1
-            metrics.counter("degraded_total").inc()
-        if degraded_slices:
-            self._degraded_slices += degraded_slices
-            metrics.counter("degraded_slices_total").inc(degraded_slices)
-        for category in CATEGORIES:
-            metrics.histogram(f"cost_{category}").observe(cost.get(category, 0))
-        metrics.histogram("cost_total").observe(cost["total"])
-        metrics.histogram("result_count").observe(len(results))
-        self.stats_collector.observe(
-            strategy, backend, cost["total"], len(results),
-            corpus_size=self._corpus_size,
-        )
-        if degraded and self._events is not None:
-            self._events.emit(
-                "query_degraded",
-                query_id=query_id,
-                strategy=strategy,
-                fallbacks=len(fallbacks),
-                budget=budget,
-                cost_total=cost["total"],
-                **({"degraded_slices": degraded_slices} if slices else {}),
-            )
         record = QueryRecord(
             query_id=query_id,
             rect_lo=rect.lo,
             rect_hi=rect.hi,
             keywords=tuple(words),
-            strategy=strategy,
+            strategy=outcome.strategy,
             cache="miss",
             budget=budget,
-            backend=backend,
-            degraded=degraded,
-            fallbacks=list(fallbacks),
-            cost=cost,
+            backend=outcome.backend,
+            degraded=outcome.degraded or any(entry["degraded"] for entry in slices),
+            fallbacks=list(outcome.fallbacks),
+            cost=spent.snapshot(),
             estimates={
                 name: float(value)
-                for name, value in (estimates or {}).items()
+                for name, value in outcome.estimates.items()
                 if isinstance(value, (int, float))
             },
             result_count=len(results),
@@ -340,19 +309,52 @@ class ServingBase:
         return results
 
     def _record(self, record: QueryRecord, tracer: Optional[Tracer]) -> None:
-        """Retain, tally and announce one served query's record; ``tracer``,
-        when given, is finished into it."""
+        """The one sink: retain a finished or cache-hit record (``tracer``,
+        when given, is finished into it) and derive from its fields the
+        registry's counters and histograms, the :class:`StatsCollector` cell
+        (over the served corpus) and the ``query_degraded``/``query_finish`` events."""
         if tracer is not None:
             record.trace = tracer.finish().to_dict()
         self._records.append(record)
-        strategy = record.strategy
-        self._strategy_counts[strategy] = self._strategy_counts.get(strategy, 0) + 1
-        self.metrics.counter(f"strategy_{strategy}_total").inc()
+        metrics = self.metrics
+        metrics.counter(f"strategy_{record.strategy}_total").inc()
+        if record.cache == "hit":
+            metrics.counter("cache_hits_total").inc()
+        else:
+            metrics.counter("cache_misses_total").inc()
+            cost = record.cost
+            fallbacks = len(record.fallbacks)
+            degraded_slices = sum(1 for entry in record.shards if entry["degraded"])
+            if fallbacks:
+                metrics.counter("fallbacks_total").inc(fallbacks)
+                metrics.counter("budget_exhausted_total").inc()
+            if record.degraded:
+                metrics.counter("degraded_total").inc()
+            if degraded_slices:
+                metrics.counter("degraded_slices_total").inc(degraded_slices)
+            for category in CATEGORIES:
+                metrics.histogram(f"cost_{category}").observe(cost.get(category, 0))
+            metrics.histogram("cost_total").observe(cost["total"])
+            metrics.histogram("result_count").observe(record.result_count)
+            self.stats_collector.observe(
+                record.strategy, record.backend, cost["total"], record.result_count,
+                corpus_size=self._corpus_size,
+            )
+            if record.degraded and self._events is not None:
+                self._events.emit(
+                    "query_degraded",
+                    query_id=record.query_id,
+                    strategy=record.strategy,
+                    fallbacks=fallbacks,
+                    budget=record.budget,
+                    cost_total=cost["total"],
+                    **({"degraded_slices": degraded_slices} if record.shards else {}),
+                )
         if self._events is not None:
             self._events.emit(
                 "query_finish",
                 query_id=record.query_id,
-                strategy=strategy,
+                strategy=record.strategy,
                 cache=record.cache,
                 cost_total=record.cost.get("total", 0),
                 result_count=record.result_count,
@@ -418,12 +420,18 @@ class ServingBase:
         return self.stats_collector.planner_stats()
 
     def stats(self) -> Dict[str, Any]:
-        """Lifetime engine statistics (JSON-safe)."""
+        """Lifetime engine statistics (JSON-safe), tallies read from the registry."""
+        metrics = self.metrics.snapshot()
+        counters = metrics["counters"]
         return {
             "queries": self._queries_served,
-            "strategies": dict(self._strategy_counts),
-            "fallbacks": self._fallback_count,
-            "degraded": self._degraded_count,
+            "strategies": {
+                name[len("strategy_"):-len("_total")]: count
+                for name, count in counters.items()
+                if name.startswith("strategy_") and name.endswith("_total")
+            },
+            "fallbacks": counters.get("fallbacks_total", 0),
+            "degraded": counters.get("degraded_total", 0),
             "cache": self._cache.stats(),
             "cost": self.counter.snapshot(),
             "dataset": {
@@ -434,7 +442,7 @@ class ServingBase:
             "max_k": self.max_k,
             "default_budget": self.default_budget,
             "backend": self.backend,
-            "metrics": self.metrics.snapshot(),
+            "metrics": metrics,
         }
 
     def export_stats_json(self, indent: Optional[int] = 2) -> str:
@@ -482,7 +490,9 @@ class QueryEngine(ServingBase):
         A :class:`~repro.trace.MetricsRegistry` to feed; by default every
         engine owns a private registry (no cross-engine sharing).  Pass
         :data:`repro.trace.GLOBAL_REGISTRY` (or any shared registry) to
-        aggregate across engines.
+        aggregate across engines; :meth:`stats` then reports the shared
+        totals, in its ``strategies``, ``fallbacks``, ``degraded`` (and
+        sharded ``degraded_slices``) as in its ``metrics``.
     events:
         A :class:`~repro.telemetry.EventLog` to emit structured serving
         events into (``query_finish``, ``query_degraded``, ``cache_evict``);
@@ -680,26 +690,21 @@ class QueryEngine(ServingBase):
         keywords: Sequence[int],
         budget: Optional[int] = None,
         counter: Optional[CostCounter] = None,
-        tracer: Optional[Tracer] = None,
     ) -> Tuple[KeywordObject, ...]:
         """Serve one query; the trace lands in :attr:`last_record`.
 
+        The serving shell around :meth:`_execute`: validate and count the
+        query in, answer it from the cache, or execute and finish it.
         ``budget`` overrides the engine's ``default_budget`` for this call.
         Results are returned as an immutable tuple (shared with the cache, so
         a caller cannot poison later hits by mutating what it got back).
-
-        ``tracer`` lets an orchestrating caller (the sharded engine) nest
-        this query's spans inside its own tree; the engine then does *not*
-        finish the tracer or attach ``record.trace`` — the owner does.  With
-        ``tracer=None`` and the engine built with ``tracing=True``, the query
-        owns a fresh tracer and attaches the finished tree to its record.
+        With ``tracing=True`` the query owns a fresh tracer and its record
+        carries the finished tree.
         """
         rect, words, budget, caller, query_id = self._begin(
             rect, keywords, budget, counter
         )
-        owned: Optional[Tracer] = None
-        if tracer is None and self.tracing:
-            tracer = owned = Tracer("query", "engine", query_id=query_id)
+        tracer = Tracer("query", "engine", query_id=query_id) if self.tracing else None
 
         # The epoch id pins a cache entry to the index version that produced
         # it: a dynamic engine's publish bumps the id, so post-write queries
@@ -707,28 +712,38 @@ class QueryEngine(ServingBase):
         # version 0 forever (same key shape, zero overhead).
         epoch = self._dynamic.epoch.epoch_id if self._dynamic is not None else 0
         key = (epoch, rect.lo, rect.hi, frozenset(words))
-        cached = self._cached(key, query_id, rect, words, budget, owned)
+        cached = self._cached(key, query_id, rect, words, budget, tracer)
         if cached is not None:
             return cached
+        spent = CostCounter()  # per-query accumulator, never budgeted
+        outcome = self._execute(rect, words, budget, spent, tracer)
+        return self._finish(query_id, rect, words, budget, spent, caller, key, tracer, outcome)
 
+    def _execute(
+        self, rect: Rect, words: Sequence[int], budget: Optional[int],
+        spent: CostCounter, tracer: Optional[Tracer],
+    ) -> Outcome:
+        """Prune, plan, resolve the backend, run the strategy chain and
+        degrade, charging ``spent``; records nothing (the fan-out runs each
+        shard's slice through this step alone).
+
+        Budget bound: each strategy abandoned under budget ``B`` overshoots
+        it by at most its last charge, and the one that completes spends at
+        most ``B``.  A degraded query then also pays the unbudgeted cost
+        ``C0`` of the cheapest-estimate strategy, so it costs the fallbacks'
+        ``spent`` plus ``C0`` — more than the unbudgeted query costs.
+        """
         if self._dynamic is None and (
             self.bounds is None or not rect.intersects(self.bounds)
         ):
             # An empty corpus, or a rectangle that misses its bounding box:
             # nothing can match; zero cost, honest trace.
             strategy = "empty_dataset" if self.bounds is None else "pruned"
-            return self._finish(
-                query_id, rect, words, (), strategy, budget, CostCounter(),
-                caller, key, owned,
-            )
+            return Outcome((), strategy, "cost_model", [], {}, False)
 
         order, estimates = self._plan(rect, words)
         backend = self._resolve_backend(estimates)
-        spent = CostCounter()  # per-query accumulator, never budgeted
         fallbacks: List[Dict[str, Any]] = []
-        results: Optional[List[KeywordObject]] = None
-        chosen = order[0]
-        degraded = False
         for strategy in order:
             probe = CostCounter(budget=budget)
             probe.tracer = tracer
@@ -738,31 +753,21 @@ class QueryEngine(ServingBase):
                         strategy, rect, words, probe, backend=backend
                     )
                 spent.merge(probe)
-                chosen = strategy
-                break
+                return Outcome(results, strategy, backend, fallbacks, estimates, False)
             except BudgetExceeded:
                 spent.merge(probe)
                 fallbacks.append(
                     {"strategy": strategy, "spent": probe.total, "budget": budget}
                 )
-        if results is None:
-            # Every strategy blew the budget: serve the cheapest unbudgeted.
-            # The rerun re-enters the strategy's keyed span, so its charges
-            # accumulate there and the leaf-sum invariant still holds.
-            probe = CostCounter()
-            probe.tracer = tracer
-            with span_for(probe, order[0], "engine", degraded=True):
-                results = self._run_strategy(
-                    order[0], rect, words, probe, backend=backend
-                )
-            spent.merge(probe)
-            chosen = order[0]
-            degraded = True
-        return self._finish(
-            query_id, rect, words, results, chosen, budget, spent, caller, key,
-            owned, backend=backend, fallbacks=fallbacks, estimates=estimates,
-            degraded=degraded,
-        )
+        # Every strategy blew the budget: serve the cheapest unbudgeted.
+        # The rerun re-enters the strategy's keyed span, so its charges
+        # accumulate there and the leaf-sum invariant still holds.
+        probe = CostCounter()
+        probe.tracer = tracer
+        with span_for(probe, order[0], "engine", degraded=True):
+            results = self._run_strategy(order[0], rect, words, probe, backend=backend)
+        spent.merge(probe)
+        return Outcome(results, order[0], backend, fallbacks, estimates, True)
 
     # -- observability -----------------------------------------------------------
 

@@ -62,9 +62,8 @@ from ..dataset import Dataset, KeywordObject
 from ..errors import ValidationError
 from ..geometry.rectangles import Rect
 from ..telemetry.events import EventLog
-from ..telemetry.quantiles import StatsCollector
 from ..trace import MetricsRegistry, Tracer, span_for
-from .engine import QueryEngine, QueryRecord, ServingBase
+from .engine import Outcome, QueryEngine, ServingBase
 
 
 def split_budget_exact(budget: int, parts: int) -> List[int]:
@@ -306,15 +305,15 @@ class Fanout:
 
     def run(
         self, shard_id: int
-    ) -> Tuple[int, List[KeywordObject], CostCounter, QueryRecord, Optional[Tracer]]:
-        """Serve one shard's slice of the pinned map under its share.
+    ) -> Tuple[int, List[KeywordObject], CostCounter, Outcome, int, Optional[Tracer]]:
+        """Execute one shard's slice of the pinned map under its share.
 
-        The shard's engine answers for its build-time dataset; objects
-        inserted since the last rebalance live in the map's delta buffer and
-        are scanned on top (fully charged); tombstoned objects are filtered
-        from the combined slice.  The engine's record is read back right
-        after its query, so same-shard calls need only be serialized to run
-        on a worker pool.  Each call traces into a tracer of its own
+        The shard's engine executes (:meth:`QueryEngine._execute`) for its
+        build-time dataset; objects inserted since the last rebalance live in
+        the map's delta buffer and are scanned on top (fully charged);
+        tombstoned objects are filtered from the combined slice.  The
+        planners keep per-call state, so same-shard calls must be serialized
+        to run on a worker pool.  Each call traces into a tracer of its own
         (tracers are single-stack); :meth:`finish` grafts it into the tree.
         """
         engine = self.state.engines[shard_id]
@@ -323,12 +322,9 @@ class Fanout:
         if self.tracer is not None:
             probe.tracer = Tracer("fanout", "sharding")
         with span_for(probe, f"shard-{shard_id}", "sharding", budget=share):
-            objs = list(
-                engine.query(
-                    self.rect, self.words, budget=share, counter=probe,
-                    tracer=probe.tracer,
-                )
-            )
+            outcome = engine._execute(self.rect, self.words, share, probe, probe.tracer)
+            engine_cost = probe.total
+            objs = list(outcome.results)
             delta = self.state.deltas[shard_id]
             if delta:
                 required = set(self.words)
@@ -347,40 +343,48 @@ class Fanout:
                         if obj.oid not in tombstones:
                             kept.append(obj)
                     objs = kept
-        return shard_id, objs, probe, engine.last_record, probe.tracer
+        return shard_id, objs, probe, outcome, engine_cost, probe.tracer
 
     def finish(self, outcomes: Iterable[tuple]) -> Tuple[KeywordObject, ...]:
-        """Merge the outcomes of :meth:`run` and finish the query."""
+        """Merge the outcomes of :meth:`run` (observing each shard's cell) and finish."""
+        engine = self.engine
         by_shard = {outcome[0]: outcome[1:] for outcome in outcomes}
         spent = CostCounter()  # merged per-query accumulator, never budgeted
         fallbacks: List[Dict[str, Any]] = []
         slices: List[Dict[str, Any]] = []
         merged: List[KeywordObject] = []
-        for shard_id in range(len(self.state.engines)):
+        for shard_id, shard_engine in enumerate(self.state.engines):
             if shard_id not in by_shard:
                 slices.append(
                     dict(shard_id=shard_id, strategy="pruned", budget=0, cost=0, degraded=False)
                 )
                 continue
-            objs, probe, record, tracer = by_shard[shard_id]
+            objs, probe, outcome, engine_cost, tracer = by_shard[shard_id]
             merged.extend(objs)
-            for fallback in record.fallbacks:
+            for fallback in outcome.fallbacks:
                 fallbacks.append(dict(fallback, shard=shard_id))
             slices.append(
                 dict(
-                    shard_id=shard_id, strategy=record.strategy,
+                    shard_id=shard_id, strategy=outcome.strategy,
                     budget=self.shares.get(shard_id), cost=probe.total,
-                    degraded=record.degraded,
+                    degraded=outcome.degraded,
                 )
+            )
+            # The shard engine's own cell: its cost and result count before
+            # the delta scan and the tombstone filter, over its build corpus.
+            engine.stats_collector.observe(
+                outcome.strategy, outcome.backend, engine_cost, len(outcome.results),
+                corpus_size=len(shard_engine.dataset),
             )
             spent.merge(probe)
             if tracer is not None:
                 for child in tracer.finish().children:
                     self.tracer.root.graft(child)
-        self.results = self.engine._finish(
-            self.query_id, self.rect, self.words, _merge_results(merged),
-            "sharded", self.budget, spent, self.caller, self.key, self.tracer,
-            backend=self.engine.backend, fallbacks=fallbacks, slices=slices,
+        self.results = engine._finish(
+            self.query_id, self.rect, self.words, self.budget, spent, self.caller,
+            self.key, self.tracer,
+            Outcome(_merge_results(merged), "sharded", engine.backend, fallbacks, {}, False),
+            slices,
         )
         return self.results
 
@@ -392,18 +396,17 @@ class ShardedQueryEngine(ServingBase):
     with per-call budget overrides, an LRU result cache, per-query
     :class:`QueryRecord` traces, JSON-safe ``stats()`` — so the CLI and any
     caller can swap one for the other; both build on
-    :class:`~repro.service.engine.ServingBase`.  Internally each shard runs
-    its own budget-bounded engine (cache disabled; the sharded engine caches
-    merged results once), and every query runs the :class:`Fanout` plan
-    described in the module docstring.
+    :class:`~repro.service.engine.ServingBase`.  Every query runs the
+    :class:`Fanout` plan described in the module docstring: each shard's
+    engine only executes its slice, and the sharded engine validates,
+    caches, records and finishes the query once.
 
     Parameters mirror :class:`QueryEngine`, plus ``shards``.  With
     ``tracing=True`` each query's record carries a finished span tree whose
     fan-out span holds one child span per shard that ran; the per-shard
-    engines' strategy and index spans nest under their shard span.  The
-    ``metrics`` registry (private by default) aggregates at the fan-out
-    level; the per-shard engines keep their own private registries so shard
-    sub-queries never inflate the fan-out's ``queries_total``.
+    engines' strategy and index spans nest under their shard span.  Every
+    tally lives in this engine — the ``metrics`` registry (private by
+    default) and the :meth:`planner_stats` cells, per shard and merged.
     """
 
     def __init__(
@@ -459,11 +462,8 @@ class ShardedQueryEngine(ServingBase):
             QueryEngine(
                 shard,
                 max_k=self.max_k,
-                default_budget=None,  # the fan-out hands each call its share
-                cache_size=0,  # merged results are cached once, at this level
                 sample_size=self._sample_size,
                 seed=self._seed,
-                keep_records=1,  # the fan-out reads only last_record
                 backend=self.backend,
             )
             for shard in datasets
@@ -795,23 +795,10 @@ class ShardedQueryEngine(ServingBase):
     def _corpus_size(self) -> int:
         return self._state.live_count
 
-    def planner_stats(self) -> Dict[str, Any]:
-        """The stable statistics feed: fan-out cells plus every shard's.
-
-        Rolls the per-shard engines' collectors into the fan-out's own via
-        the exact pooled merge, so the rendering covers both the merged
-        ``sharded`` strategy and the per-shard strategy choices.
-        """
-        merged = StatsCollector()
-        merged.merge(self.stats_collector)
-        for engine in self.shard_engines:
-            merged.merge(engine.stats_collector)
-        return merged.planner_stats()
-
     def stats(self) -> Dict[str, Any]:
         """Lifetime statistics with a per-shard breakdown (JSON-safe)."""
         stats = super().stats()
-        stats["degraded_slices"] = self._degraded_slices
+        stats["degraded_slices"] = stats["metrics"]["counters"].get("degraded_slices_total", 0)
         stats["dataset"]["vocabulary"] = len(self.vocabulary)
         stats["shards"] = {
             "count": self.num_shards,
@@ -826,8 +813,6 @@ class ShardedQueryEngine(ServingBase):
                     "shard_id": shard_id,
                     "objects": len(engine.dataset),
                     "input_size": engine.dataset.total_doc_size,
-                    "cost": engine.counter.snapshot(),
-                    "degraded": engine.stats()["degraded"],
                 }
                 for shard_id, engine in enumerate(self.shard_engines)
             ],

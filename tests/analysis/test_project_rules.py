@@ -80,6 +80,26 @@ class TestTreeRegressions:
         )
         assert findings == []
 
+    def test_dynamize_module_is_in_span_scope(self, tmp_path):
+        """R10 audits the dynamization machinery where it lives: the real
+        ``core/dynamize.py`` is span-clean, and one uncovered charge planted
+        in it yields exactly one finding."""
+        module = tmp_path / "repro/core/dynamize.py"
+        module.parent.mkdir(parents=True)
+        source = (SRC / "repro/core/dynamize.py").read_text()
+        module.write_text(source)
+        rules = select_rules(["R10"])
+        assert analyze_paths([tmp_path], root=tmp_path, rules=rules) == []
+
+        module.write_text(
+            source + "\n\ndef _planted(counter):\n    counter.charge('nodes_visited')\n"
+        )
+        findings = analyze_paths([tmp_path], root=tmp_path, rules=rules)
+        assert len(findings) == 1
+        (finding,) = findings
+        assert finding.rule == "R10"
+        assert finding.message.startswith("_planted charges 'nodes_visited'")
+
     def test_epoch_query_charges_inside_a_span(self):
         """Runtime side of the same fix: with a tracer attached, the epoch
         scan's structure probes land in a dedicated 'epoch-scan' span

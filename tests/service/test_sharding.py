@@ -165,6 +165,27 @@ class TestShardedServing:
         with pytest.raises(ValidationError):
             ShardedQueryEngine(random_dataset(rng, 10), shards=0)
 
+    def test_per_shard_planner_cells_survive_rebalance(self, rng):
+        """The sharded engine owns its per-shard planner cells, so a
+        rebalance (fresh shard engines) keeps their query counts."""
+        engine = ShardedQueryEngine(random_dataset(rng, 150), shards=3, max_k=2, cache_size=0)
+        for _ in range(25):
+            a, b = sorted([rng.uniform(0, 10), rng.uniform(0, 10)])
+            c, d = sorted([rng.uniform(0, 10), rng.uniform(0, 10)])
+            engine.query(Rect((a, c), (b, d)), rng.sample(range(1, 9), rng.randint(1, 2)))
+
+        def shard_cells():
+            return {
+                (cell["strategy"], cell["backend"]): cell["queries"]
+                for cell in engine.planner_stats()["strategies"]
+                if cell["strategy"] != "sharded"
+            }
+
+        before = shard_cells()
+        assert sum(before.values()) > 25  # several shards ran per query
+        engine.rebalance()
+        assert shard_cells() == before
+
     def test_empty_dataset_served(self):
         engine = ShardedQueryEngine(Dataset.empty(2), shards=3, max_k=2)
         assert engine.query(Rect.full(2), [1]) == ()
