@@ -71,7 +71,6 @@ from .service import (
     partition_dataset,
 )
 from .trace import (
-    GLOBAL_REGISTRY,
     MetricsRegistry,
     TraceSpan,
     Tracer,
@@ -137,6 +136,5 @@ __all__ = [
     "Tracer",
     "span_for",
     "MetricsRegistry",
-    "GLOBAL_REGISTRY",
     "__version__",
 ]

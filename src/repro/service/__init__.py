@@ -8,8 +8,9 @@ accounting together by hand.  This package is that layer for :mod:`repro`:
   and :class:`~repro.core.planner.HybridPlanner`, executes single and batched
   queries under an explicit cost budget, and degrades gracefully (budget
   blow-ups become recorded fallbacks, never exceptions); it shares its
-  validation, cache-hit record, finish step, record sink and read side
-  with the sharded engine through ``ServingBase``;
+  validation, cache-hit, finish and shed records, its record sink (the
+  one input of every counter, event, retained trace and SLO window) and
+  its read side with the sharded engine through ``ServingBase``;
 * :class:`LRUCache` — bounded result cache with hit/miss accounting;
 * :class:`QueryRecord` — per-query observability record (strategy chosen,
   fallbacks taken, cost snapshot, cache status, per-shard slices),
@@ -19,8 +20,9 @@ accounting together by hand.  This package is that layer for :mod:`repro`:
   fan-out plan (prune shards by bounding box, split the budget exactly
   with :func:`split_budget_exact`, merge cost traces);
 * :class:`AsyncQueryEngine` / :class:`AdmissionController` — asyncio front
-  end: bounded in-flight cost with budget-machinery shedding; runs the
-  same fan-out plan with its shards on a worker pool;
+  end: bounded in-flight cost with budget-machinery shedding; runs either
+  engine's own plan, opening, finishing and recording on the event loop
+  and executing on a worker pool, and meters into the engine's registry;
 * :class:`AsyncDynamicIndex` / :class:`Snapshot` / :class:`SnapshotManager`
   — snapshot-isolated serving over the dynamized index (writers publish
   immutable epochs, readers pin them lock-free).

@@ -14,15 +14,17 @@ fires and the query is *shed* — refused up front with a
 :class:`~repro.service.engine.QueryRecord` carrying ``reason="shed:admission"``
 instead of being allowed to pile latency onto everything already running.
 
-**Concurrent shard fan-out** (:class:`AsyncQueryEngine` over a
-:class:`~repro.service.sharding.ShardedQueryEngine`).  The front end runs
-the sharded engine's own fan-out plan (:class:`~repro.service.sharding.
-Fanout`: pin, cache, prune, exact budget split, merge, finish) and changes
-only the executor: the shards that run are dispatched to a worker pool,
+**Concurrent execution** (:class:`AsyncQueryEngine`).  The front end runs
+the wrapped engine's own plan — a sharded engine's
+:class:`~repro.service.sharding.Fanout` (pin, cache, prune, exact budget
+split, merge, finish) or a plain engine's one-shard
+:class:`~repro.service.engine.EnginePlan` — and changes only the executor:
+the execute step of each shard that runs is dispatched to a worker pool,
 one thread each, with per-shard locks serializing same-shard access.
-Planning, merging and finishing stay on the event-loop thread.  The front
-end holds no fan-out logic of its own, so a query served here gets the
-same results, cost, slices and degraded flags as one served inline.
+Opening, merging, finishing and recording stay on the event-loop thread,
+sheds included.  The front end holds no fan-out logic of its own, so a
+query served here gets the same results, cost, slices and degraded flags
+as one served inline.
 
 **Snapshot isolation** (:class:`AsyncDynamicIndex` over a
 :class:`~repro.core.dynamic.DynamicOrpKw`).  Writers serialize behind an
@@ -41,8 +43,9 @@ from __future__ import annotations
 
 import asyncio
 import threading
+from collections import defaultdict
 from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, DefaultDict, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..costmodel import CostCounter
 from ..dataset import KeywordObject
@@ -52,7 +55,7 @@ from ..telemetry.events import EventLog
 from ..telemetry.sampler import TailSampler
 from ..telemetry.slo import SLOMonitor, SloShed
 from ..trace import MetricsRegistry
-from .engine import QueryEngine, QueryRecord
+from .engine import EnginePlan, QueryEngine
 from .sharding import Fanout, ShardedQueryEngine
 from .snapshots import Snapshot, SnapshotManager
 
@@ -149,37 +152,38 @@ class AsyncQueryEngine:
     ----------
     engine:
         A :class:`~repro.service.engine.QueryEngine` or
-        :class:`~repro.service.sharding.ShardedQueryEngine`.  Sharded
-        engines run their fan-out plan with the shards on the pool; plain
-        engines are served from the pool one query at a time (their caches
-        and record deques are not thread-safe).
+        :class:`~repro.service.sharding.ShardedQueryEngine`.  Either way the
+        front end runs the engine's own plan (an
+        :class:`~repro.service.engine.EnginePlan` or a
+        :class:`~repro.service.sharding.Fanout`): it opens, finishes and
+        records every query on the event-loop thread and sends only the
+        execute step to the pool, one call per shard that runs, each under
+        its shard's lock (a plain engine is one shard).
     max_inflight_cost:
         Admission-control bound on the summed budget reservations of all
         in-flight queries; ``None`` admits everything.
     max_workers:
         Worker-pool size; defaults to the shard count (or 1 unsharded).
-    metrics:
-        Registry for the serving gauges/counters (in-flight, admitted,
-        shed); private by default.  The wrapped engine keeps feeding its
-        own registry exactly as in synchronous serving (fan-out counters
-        such as ``shards_pruned_total`` included).
     events:
-        Shared :class:`~repro.telemetry.EventLog`; the front end emits
-        ``query_shed`` here and attaches the log to the wrapped engine
-        (when it has none) so the whole stack shares one event order.
+        Shared :class:`~repro.telemetry.EventLog`; attached to the wrapped
+        engine when it has none, so the whole stack, sheds included, shares
+        one event order.
     sampler:
-        A :class:`~repro.telemetry.TailSampler`; every finished or shed
-        query's record is offered, and records whose traces are not
-        retained have ``record.trace`` dropped to keep unretained span
-        trees from piling up in the record deque.
+        A :class:`~repro.telemetry.TailSampler`, attached to the wrapped
+        engine: its record sink offers every finished or shed query's
+        record, and drops ``record.trace`` when the sampler declines it.
     slo:
-        An :class:`~repro.telemetry.SLOMonitor`; fed every query outcome
-        and handed to the :class:`AdmissionController` as the graduated
-        shed signal.
+        An :class:`~repro.telemetry.SLOMonitor`, attached to the wrapped
+        engine (whose sink feeds it every outcome) and handed to the
+        :class:`AdmissionController` as the graduated shed signal.
 
-    All public methods are coroutines and must run on one event loop; the
-    wrapped engine's bookkeeping (cache, records, metrics) is only ever
-    touched from that loop's thread or under per-shard locks.
+    The front end meters admission (``admitted_total`` and the
+    ``inflight_cost``/``inflight_queries`` gauges) into the engine's
+    registry, where the sink counts sheds, so a serving stack has one
+    registry (:attr:`metrics`).  All public methods are coroutines and must
+    run on one event loop; the wrapped engine's bookkeeping (cache, records,
+    metrics) is only ever touched from that loop's thread or under
+    per-shard locks.
     """
 
     def __init__(
@@ -187,28 +191,34 @@ class AsyncQueryEngine:
         engine: Union[QueryEngine, ShardedQueryEngine],
         max_inflight_cost: Optional[int] = None,
         max_workers: Optional[int] = None,
-        metrics: Optional[MetricsRegistry] = None,
         events: Optional[EventLog] = None,
         sampler: Optional[TailSampler] = None,
         slo: Optional[SLOMonitor] = None,
     ):
         self.engine = engine
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
+        self.metrics = engine.metrics
         self.events = events
         self.sampler = sampler
         self.slo = slo
-        if events is not None and getattr(engine, "_events", None) is None:
+        if events is not None and engine.events is None:
             engine.attach_events(events)
+        if sampler is not None:
+            engine.sampler = sampler
+        if slo is not None:
+            engine.slo = slo
         self.admission = AdmissionController(max_inflight_cost, slo=slo)
-        self._sharded = isinstance(engine, ShardedQueryEngine)
-        shards = engine.num_shards if self._sharded else 1
+        sharded = isinstance(engine, ShardedQueryEngine)
+        self._open = Fanout if sharded else EnginePlan
+        if max_workers is None:
+            max_workers = engine.num_shards if sharded else 1
         self._pool = ThreadPoolExecutor(
-            max_workers=shards if max_workers is None else max_workers,
-            thread_name_prefix="repro-serve",
+            max_workers=max_workers, thread_name_prefix="repro-serve"
         )
-        # One lock per shard (a plain engine is one shard): the planners keep
-        # per-call state, so same-shard calls must never overlap.
-        self._locks = [threading.Lock() for _ in range(shards)]
+        # One lock per shard id (a plain engine is shard 0), created on the
+        # loop thread on first use, since a rebalance may grow the shard
+        # count: the planners keep per-call state, so same-shard calls must
+        # never overlap.
+        self._locks: DefaultDict[int, threading.Lock] = defaultdict(threading.Lock)
 
     # -- lifecycle ---------------------------------------------------------------
 
@@ -234,36 +244,45 @@ class AsyncQueryEngine:
     ) -> Tuple[KeywordObject, ...]:
         """Serve one query concurrently; same answers as the sync engines.
 
-        Raises :class:`~repro.errors.BudgetExceeded` when admission control
-        sheds the query (recorded with ``reason="shed:admission"`` in the
-        wrapped engine's records); every *admitted* query returns exactly
-        what the synchronous engine would return.
+        A ``budget`` below 1 raises :class:`~repro.errors.ValidationError`
+        before admission reserves anything.  Raises
+        :class:`~repro.errors.BudgetExceeded` when admission control sheds
+        the query (recorded with ``reason="shed:admission"`` in the wrapped
+        engine's records); every *admitted* query returns exactly what the
+        synchronous engine would return.
         """
-        budget = (
-            budget if budget is not None else self.engine.default_budget
-        )
+        budget = self.engine._budget_for(budget)
         reservation = budget if budget is not None else DEFAULT_RESERVATION
         try:
             self.admission.admit(reservation)
         except BudgetExceeded as exc:
             # SLO-driven sheds carry their objective as exc.reason; plain
             # admission sheds fall back to the generic reason.
-            record = self._record_shed(
-                rect, keywords, budget,
-                reason=getattr(exc, "reason", "shed:admission"),
+            self.engine._shed(
+                rect, keywords, budget, getattr(exc, "reason", "shed:admission")
             )
-            self._after_query(record, shed=True)
             raise
         self.metrics.counter("admitted_total").inc()
         self._meter_inflight()
-        serve = self._query_sharded if self._sharded else self._query_plain
         try:
-            results, record = await serve(rect, keywords, budget, counter)
+            plan = self._open(self.engine, rect, keywords, budget, counter)
+            if plan.results is None:
+
+                def run(shard_id: int, lock: threading.Lock):
+                    with lock:
+                        return plan.run(shard_id)
+
+                loop = asyncio.get_running_loop()
+                outcomes = [
+                    loop.run_in_executor(self._pool, run, shard_id, self._locks[shard_id])
+                    for shard_id in plan.active
+                ]
+                plan.finish(await asyncio.gather(*outcomes))
         finally:
             self.admission.release(reservation)
             self._meter_inflight()
-        self._after_query(record)
-        return results
+        # Nothing awaited since the finish: last_record is this query's.
+        return plan.results
 
     async def batch(
         self,
@@ -293,117 +312,6 @@ class AsyncQueryEngine:
         self.metrics.gauge("inflight_queries").set(
             self.admission.inflight_queries
         )
-
-    def _record_shed(
-        self,
-        rect: Union[Rect, Sequence[float]],
-        keywords: Sequence[int],
-        budget: Optional[int],
-        reason: str = "shed:admission",
-    ) -> QueryRecord:
-        """Append a refused query's record (strategy ``shed``) and meter it."""
-        self.metrics.counter("shed_total").inc()
-        if reason != "shed:admission":
-            self.metrics.counter("shed_slo_total").inc()
-        try:
-            rect = QueryEngine._coerce_rect(rect)
-            lo, hi = rect.lo, rect.hi
-        except ValidationError:
-            lo = hi = ()
-        record = QueryRecord(
-            query_id=0,  # never served; ids belong to admitted queries
-            rect_lo=lo,
-            rect_hi=hi,
-            keywords=tuple(keywords),
-            strategy="shed",
-            cache="bypass",
-            budget=budget,
-            reason=reason,
-        )
-        self.engine._records.append(record)
-        if self.events is not None:
-            self.events.emit(
-                "query_shed",
-                reason=reason,
-                budget=budget,
-                keywords=len(record.keywords),
-            )
-        return record
-
-    def _after_query(self, record: Optional[QueryRecord], shed: bool = False) -> None:
-        """Feed one finished (or shed) query into the SLO monitor and sampler.
-
-        Runs on the event-loop thread only, after the admission release —
-        the monitor's verdict therefore applies from the *next* admission
-        decision onward.
-        """
-        if record is None:
-            return
-        if self.slo is not None:
-            if shed:
-                self.slo.observe_query(shed=True)
-            else:
-                self.slo.observe_query(
-                    cost=record.cost.get("total", 0),
-                    budget_exhausted=bool(record.fallbacks),
-                )
-        if self.sampler is not None and not self.sampler.offer(record):
-            # Not retained: drop the span tree so unretained traces do not
-            # accumulate in the record deque.
-            record.trace = None
-
-    async def _query_plain(
-        self,
-        rect: Union[Rect, Sequence[float]],
-        keywords: Sequence[int],
-        budget: Optional[int],
-        counter: Optional[CostCounter],
-    ) -> Tuple[Tuple[KeywordObject, ...], QueryRecord]:
-        """One-at-a-time serve of an unsharded engine from the pool.
-
-        Returns the results *and* their record, read back while the engine
-        lock is still held — reading ``last_record`` after the await could
-        see a concurrent query's record instead.
-        """
-        loop = asyncio.get_running_loop()
-
-        def run() -> Tuple[Tuple[KeywordObject, ...], QueryRecord]:
-            with self._locks[0]:
-                results = self.engine.query(
-                    rect, keywords, budget=budget, counter=counter
-                )
-                return results, self.engine.last_record
-
-        return await loop.run_in_executor(self._pool, run)
-
-    async def _query_sharded(
-        self,
-        rect: Union[Rect, Sequence[float]],
-        keywords: Sequence[int],
-        budget: Optional[int],
-        counter: Optional[CostCounter],
-    ) -> Tuple[Tuple[KeywordObject, ...], QueryRecord]:
-        """The sharded engine's fan-out plan with its shard calls on the pool.
-
-        Planning, merging and finishing stay on the loop thread (the
-        engine's bookkeeping is not thread-safe).
-        """
-        plan = Fanout(self.engine, rect, keywords, budget, counter)
-        if plan.results is None:
-            # A rebalance may have grown the shard count since construction;
-            # extend the lock list on the loop thread before dispatching.
-            while len(self._locks) < len(plan.state.engines):
-                self._locks.append(threading.Lock())
-
-            def run(shard_id: int):
-                with self._locks[shard_id]:
-                    return plan.run(shard_id)
-
-            loop = asyncio.get_running_loop()
-            outcomes = [loop.run_in_executor(self._pool, run, s) for s in plan.active]
-            plan.finish(await asyncio.gather(*outcomes))
-        # Nothing awaited since the finish: last_record is this query's.
-        return plan.results, self.engine.last_record
 
     # -- observability -----------------------------------------------------------
 

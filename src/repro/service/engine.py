@@ -38,6 +38,8 @@ from ..core.multi_k import MultiKOrpIndex
 from ..core.planner import HybridPlanner
 from ..telemetry.events import EventLog
 from ..telemetry.quantiles import StatsCollector
+from ..telemetry.sampler import TailSampler
+from ..telemetry.slo import SLOMonitor
 from ..trace import MetricsRegistry, Tracer, span_for
 
 #: A query as the batch API accepts it: a (rect, keywords) pair, where the
@@ -117,6 +119,15 @@ class Outcome(NamedTuple):
     degraded: bool
 
 
+def checked_budget(budget: Optional[int], name: str = "budget") -> Optional[int]:
+    """``budget`` if it is ``None`` (unbudgeted) or at least 1, else a
+    :class:`~repro.errors.ValidationError`.  Every budget a caller supplies
+    passes here; the fan-out's shard shares, which may be 0, do not."""
+    if budget is not None and budget < 1:
+        raise ValidationError(f"{name} must be >= 1, got {budget}")
+    return budget
+
+
 def _bounding_rect(dataset: Dataset) -> Optional[Rect]:
     """Tightest axis-aligned box around ``dataset`` (``None`` when empty)."""
     if not len(dataset):
@@ -131,29 +142,36 @@ class ServingBase:
     """What :class:`QueryEngine` and
     :class:`~repro.service.sharding.ShardedQueryEngine` share: one query
     validation, one cache-hit record, one finish step (cache put, record,
-    caller accounting), one record sink and the read side.  A subclass sets
-    ``dataset`` and ``max_k``, calls :meth:`_init_serving`, and serves a
-    query as :meth:`_begin`, :meth:`_cached` and, on a miss, :meth:`_finish`.
-    Every tally is a view of the records, derived in :meth:`_record` alone.
+    caller accounting), one shed record, one record sink and the read side.
+    A subclass sets ``dataset`` and ``max_k``, calls :meth:`_init_serving`,
+    and serves a query through a plan (:class:`EnginePlan`, or the sharded
+    :class:`~repro.service.sharding.Fanout`) that calls :meth:`_begin`,
+    :meth:`_cached` and, on a miss, :meth:`_finish`.  Every outcome, shed
+    included, reaches :meth:`_record`, and every tally, event, retained
+    trace and SLO window is derived there alone.
+
+    ``sampler`` and ``slo`` are live attachments like the event log: the
+    async front end attaches its :class:`~repro.telemetry.TailSampler` and
+    :class:`~repro.telemetry.SLOMonitor`, and pickling drops all three.
     """
 
     def _init_serving(
         self, default_budget: Optional[int], cache_size: int, keep_records: int,
-        tracing: bool, metrics: Optional[MetricsRegistry], events: Optional[EventLog],
-        backend: str,
+        tracing: bool, events: Optional[EventLog], backend: str,
     ) -> None:
         from ..fast import validate_backend
         from .cache import LRUCache
 
-        if default_budget is not None and default_budget < 1:
-            raise ValidationError(f"default_budget must be >= 1, got {default_budget}")
+        checked_budget(default_budget, "default_budget")
         if keep_records < 1:
             raise ValidationError(f"keep_records must be >= 1, got {keep_records}")
         self.backend = validate_backend(backend, allow_auto=True)
         self.default_budget = default_budget
         self.tracing = tracing
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
+        self.metrics = MetricsRegistry()
         self._events = events
+        self.sampler: Optional[TailSampler] = None
+        self.slo: Optional[SLOMonitor] = None
         #: Per-(strategy, backend) running statistics — the planner feed.
         self.stats_collector = StatsCollector()
         self.counter = CostCounter()  # engine-lifetime aggregate
@@ -162,11 +180,11 @@ class ServingBase:
         self._queries_served = 0
 
     def __getstate__(self) -> Dict[str, Any]:
-        # The event log is a live operational attachment (often shared
-        # across engines): persisting it would duplicate the shared log per
-        # saved engine.
+        # The event log, the sampler and the SLO monitor are live
+        # operational attachments (often shared across engines): persisting
+        # them would duplicate them per saved engine.
         state = dict(self.__dict__)
-        state["_events"] = None
+        state.update(_events=None, sampler=None, slo=None)
         return state
 
     def __setstate__(self, state: Dict[str, Any]) -> None:
@@ -181,6 +199,8 @@ class ServingBase:
         self.__dict__.setdefault("backend", "cost_model")
         # ... the telemetry subsystem.
         self.__dict__.setdefault("_events", None)
+        self.__dict__.setdefault("sampler", None)
+        self.__dict__.setdefault("slo", None)
         if self.__dict__.get("stats_collector") is None:
             self.stats_collector = StatsCollector()
 
@@ -233,10 +253,15 @@ class ServingBase:
         distinct keywords, the effective budget, the caller's counter (a
         fresh one when none was passed) and the query's id."""
         rect, words = self._validate(rect, keywords)
+        budget = self._budget_for(budget)
         self._queries_served += 1
         self.metrics.counter("queries_total").inc()
-        budget = budget if budget is not None else self.default_budget
         return rect, words, budget, ensure_counter(counter), self._queries_served
+
+    def _budget_for(self, budget: Optional[int]) -> Optional[int]:
+        """The budget a query runs under: the caller's, checked by
+        :func:`checked_budget`, else the engine's ``default_budget``."""
+        return self.default_budget if budget is None else checked_budget(budget)
 
     def _cached(
         self, key: Tuple, query_id: int, rect: Rect, words: Sequence[int],
@@ -308,15 +333,66 @@ class ServingBase:
         caller.absorb(spent)
         return results
 
+    def _shed(
+        self, rect: Union[Rect, Sequence[float]], keywords: Sequence[int],
+        budget: Optional[int], reason: str,
+    ) -> None:
+        """Record a query that admission control refused (strategy
+        ``shed``, query id 0: ids belong to queries counted in)."""
+        try:
+            rect = self._coerce_rect(rect)
+            lo, hi = rect.lo, rect.hi
+        except ValidationError:
+            lo = hi = ()
+        record = QueryRecord(
+            query_id=0,
+            rect_lo=lo,
+            rect_hi=hi,
+            keywords=tuple(keywords),
+            strategy="shed",
+            cache="bypass",
+            budget=budget,
+            reason=reason,
+        )
+        self._record(record, None)
+
     def _record(self, record: QueryRecord, tracer: Optional[Tracer]) -> None:
-        """The one sink: retain a finished or cache-hit record (``tracer``,
-        when given, is finished into it) and derive from its fields the
-        registry's counters and histograms, the :class:`StatsCollector` cell
-        (over the served corpus) and the ``query_degraded``/``query_finish`` events."""
+        """The one sink: retain a finished, cache-hit or shed record
+        (``tracer``, when given, is finished into it) and derive from its
+        fields the registry's counters and histograms, the
+        :class:`StatsCollector` cell (over the served corpus), the
+        ``query_degraded``/``query_finish``/``query_shed`` events, the
+        attached sampler's retention (``record.trace`` is dropped when it
+        declines) and the attached SLO monitor's window.  A shed counts in
+        ``shed_total`` (and ``shed_slo_total`` when an objective tripped)
+        and changes no served-query tally."""
         if tracer is not None:
             record.trace = tracer.finish().to_dict()
         self._records.append(record)
+        shed = record.strategy == "shed"
+        if self.sampler is not None and not self.sampler.offer(record):
+            # Not retained: drop the span tree so unretained traces do not
+            # accumulate in the record deque.
+            record.trace = None
+        if self.slo is not None:
+            self.slo.observe_query(
+                cost=record.cost.get("total", 0),
+                budget_exhausted=bool(record.fallbacks),
+                shed=shed,
+            )
         metrics = self.metrics
+        if shed:
+            metrics.counter("shed_total").inc()
+            if record.reason != "shed:admission":
+                metrics.counter("shed_slo_total").inc()
+            if self._events is not None:
+                self._events.emit(
+                    "query_shed",
+                    reason=record.reason,
+                    budget=record.budget,
+                    keywords=len(record.keywords),
+                )
+            return
         metrics.counter(f"strategy_{record.strategy}_total").inc()
         if record.cache == "hit":
             metrics.counter("cache_hits_total").inc()
@@ -486,28 +562,27 @@ class QueryEngine(ServingBase):
         When true every served query builds a :class:`~repro.trace.Tracer`
         span tree, attached to its :class:`QueryRecord` as ``record.trace``.
         Tracing never changes the charged cost in any category.
-    metrics:
-        A :class:`~repro.trace.MetricsRegistry` to feed; by default every
-        engine owns a private registry (no cross-engine sharing).  Pass
-        :data:`repro.trace.GLOBAL_REGISTRY` (or any shared registry) to
-        aggregate across engines; :meth:`stats` then reports the shared
-        totals, in its ``strategies``, ``fallbacks``, ``degraded`` (and
-        sharded ``degraded_slices``) as in its ``metrics``.
     events:
         A :class:`~repro.telemetry.EventLog` to emit structured serving
         events into (``query_finish``, ``query_degraded``, ``cache_evict``);
         ``None`` (the default) disables event emission.  Share one log
         across the serving stack for a single total event order.
 
-    A static engine answers a rectangle that misses its corpus's bounding
-    box (:attr:`bounds`) with ``()`` at zero cost and strategy ``"pruned"``
-    — the sharded fan-out's prune rule, so one shard serves exactly like
-    the unsharded engine.  Engines serving a ``dynamic_index`` never prune.
+    Every engine owns its :class:`~repro.trace.MetricsRegistry`
+    (:attr:`metrics`); :func:`~repro.telemetry.merge_registries` aggregates
+    several.  A query runs as one :class:`EnginePlan` — open, run, finish —
+    the one-shard form of the sharded fan-out's plan, so the async front end
+    can open and finish it on its event loop and run it on its pool.  The
+    engine answers a rectangle that misses its corpus's bounding box
+    (:attr:`bounds`) with ``()`` at zero cost and strategy ``"pruned"`` —
+    the fan-out's prune rule, so one shard serves exactly like the
+    unsharded engine.  A corpus that takes inserts and deletes is served by
+    ``ShardedQueryEngine(dataset, shards=1)``.
     """
 
     def __init__(
         self,
-        dataset: Optional[Dataset],
+        dataset: Dataset,
         max_k: int = 4,
         default_budget: Optional[int] = None,
         cache_size: int = 128,
@@ -515,40 +590,15 @@ class QueryEngine(ServingBase):
         seed: int = 0,
         keep_records: int = 1024,
         tracing: bool = False,
-        metrics: Optional[MetricsRegistry] = None,
         backend: str = "cost_model",
-        dynamic_index=None,
         events: Optional[EventLog] = None,
     ):
         from ..fast import VectorizedBackend
 
-        self._init_serving(
-            default_budget, cache_size, keep_records, tracing, metrics, events, backend
-        )
-        self._dynamic = dynamic_index
-        if dynamic_index is not None:
-            # Dynamic serving: the engine fronts a DynamicOrpKw — every
-            # query runs the "dynamic" strategy against the currently
-            # published epoch, and cache entries are keyed by epoch id so a
-            # publish can never serve a stale pre-write result.
-            if dataset is not None and dataset.objects:
-                raise ValidationError(
-                    "pass dataset=None when serving a dynamic_index "
-                    "(the engine reads the published epochs, not a static corpus)"
-                )
-            if backend != "cost_model":
-                raise ValidationError(
-                    "dynamic_index engines serve the instrumented dynamic "
-                    "path; backend must be 'cost_model'"
-                )
-            dataset = Dataset.empty(dynamic_index.dim)
-            max_k = dynamic_index.k
-        elif dataset is None:
-            raise ValidationError("dataset is required without a dynamic_index")
+        self._init_serving(default_budget, cache_size, keep_records, tracing, events, backend)
         self.dataset = dataset
         self.max_k = max_k
-        #: Tightest box around the static corpus (``None`` when it is empty,
-        #: and for dynamic engines, whose corpus is the published epoch).
+        #: Tightest box around the corpus (``None`` when it is empty).
         self.bounds = _bounding_rect(dataset)
         # The numpy mirror used for vectorized keywords-only execution.
         # Built eagerly (it is cheap relative to the fused indexes below) so
@@ -596,8 +646,7 @@ class QueryEngine(ServingBase):
 
     def __setstate__(self, state: Dict[str, Any]) -> None:
         super().__setstate__(state)
-        # Engines pickled before dynamic serving / the prune rule.
-        self.__dict__.setdefault("_dynamic", None)
+        # Engines pickled before the prune rule.
         self.__dict__.setdefault("_fast", None)
         if "bounds" not in self.__dict__:
             self.bounds = _bounding_rect(self.dataset)
@@ -610,10 +659,6 @@ class QueryEngine(ServingBase):
 
     def _plan(self, rect: Rect, words: Sequence[int]) -> Tuple[List[str], Dict[str, float]]:
         """Strategy chain (cheapest estimate first) plus the raw estimates."""
-        if self._dynamic is not None:
-            # Dynamic engines have exactly one strategy: the currently
-            # published epoch of the LSM-style index.
-            return ["dynamic"], {}
         k = len(words)
         if k >= 2:
             planner = self._planners[k]
@@ -672,8 +717,6 @@ class QueryEngine(ServingBase):
         counter: CostCounter,
         backend: str = "cost_model",
     ) -> List[KeywordObject]:
-        if strategy == "dynamic":
-            return self._dynamic.query(rect, words, counter)
         if strategy == "fused":
             return self._index.query(rect, words, counter)
         if strategy == "keywords_only":
@@ -693,31 +736,18 @@ class QueryEngine(ServingBase):
     ) -> Tuple[KeywordObject, ...]:
         """Serve one query; the trace lands in :attr:`last_record`.
 
-        The serving shell around :meth:`_execute`: validate and count the
+        Runs the query's :class:`EnginePlan` inline: validate and count the
         query in, answer it from the cache, or execute and finish it.
-        ``budget`` overrides the engine's ``default_budget`` for this call.
-        Results are returned as an immutable tuple (shared with the cache, so
-        a caller cannot poison later hits by mutating what it got back).
-        With ``tracing=True`` the query owns a fresh tracer and its record
-        carries the finished tree.
+        ``budget`` (``None`` or at least 1) overrides the engine's
+        ``default_budget`` for this call.  Results are returned as an
+        immutable tuple (shared with the cache, so a caller cannot poison
+        later hits by mutating what it got back).  With ``tracing=True`` the
+        query owns a fresh tracer and its record carries the finished tree.
         """
-        rect, words, budget, caller, query_id = self._begin(
-            rect, keywords, budget, counter
-        )
-        tracer = Tracer("query", "engine", query_id=query_id) if self.tracing else None
-
-        # The epoch id pins a cache entry to the index version that produced
-        # it: a dynamic engine's publish bumps the id, so post-write queries
-        # can never be served a stale pre-write result.  Static engines are
-        # version 0 forever (same key shape, zero overhead).
-        epoch = self._dynamic.epoch.epoch_id if self._dynamic is not None else 0
-        key = (epoch, rect.lo, rect.hi, frozenset(words))
-        cached = self._cached(key, query_id, rect, words, budget, tracer)
-        if cached is not None:
-            return cached
-        spent = CostCounter()  # per-query accumulator, never budgeted
-        outcome = self._execute(rect, words, budget, spent, tracer)
-        return self._finish(query_id, rect, words, budget, spent, caller, key, tracer, outcome)
+        plan = EnginePlan(self, rect, keywords, budget, counter)
+        if plan.results is None:
+            plan.finish([plan.run(0)])
+        return plan.results
 
     def _execute(
         self, rect: Rect, words: Sequence[int], budget: Optional[int],
@@ -733,9 +763,7 @@ class QueryEngine(ServingBase):
         ``C0`` of the cheapest-estimate strategy, so it costs the fallbacks'
         ``spent`` plus ``C0`` — more than the unbudgeted query costs.
         """
-        if self._dynamic is None and (
-            self.bounds is None or not rect.intersects(self.bounds)
-        ):
+        if self.bounds is None or not rect.intersects(self.bounds):
             # An empty corpus, or a rectangle that misses its bounding box:
             # nothing can match; zero cost, honest trace.
             strategy = "empty_dataset" if self.bounds is None else "pruned"
@@ -771,14 +799,6 @@ class QueryEngine(ServingBase):
 
     # -- observability -----------------------------------------------------------
 
-    def stats(self) -> Dict[str, Any]:
-        """Lifetime engine statistics (JSON-safe)."""
-        stats = super().stats()
-        stats["dynamic_epoch"] = (
-            self._dynamic.epoch.epoch_id if self._dynamic is not None else None
-        )
-        return stats
-
     def probe_structure(self, seed: int = 17) -> List[Dict[str, Any]]:
         """Run the structural health probes and mirror them into metrics.
 
@@ -802,8 +822,61 @@ class QueryEngine(ServingBase):
         units = 0
         if self._index is not None:
             units += self._index.space_units
-        if self._dynamic is not None:
-            units += self._dynamic.space_units
         for planner in self._planners.values():
             units += len(planner._sample)
         return units
+
+
+class EnginePlan:
+    """One :class:`QueryEngine` query's plan: the one-shard form of
+    :class:`~repro.service.sharding.Fanout`.
+
+    Opening it (on the caller's thread) validates the query, counts it in
+    and looks it up in the cache: a hit sets :attr:`results` and nothing
+    runs.  On a miss :attr:`active` is ``[0]``; the executor calls
+    :meth:`run` for it — inline, or on a worker thread as long as no two
+    calls on one engine overlap — and hands the outcome to :meth:`finish`
+    on the opening thread.
+    """
+
+    __slots__ = (
+        "engine", "rect", "words", "budget", "caller", "query_id", "tracer",
+        "key", "results", "active",
+    )
+
+    def __init__(
+        self,
+        engine: QueryEngine,
+        rect: Union[Rect, Sequence[float]],
+        keywords: Sequence[int],
+        budget: Optional[int],
+        counter: Optional[CostCounter],
+    ):
+        self.engine = engine
+        self.rect, self.words, self.budget, self.caller, self.query_id = (
+            engine._begin(rect, keywords, budget, counter)
+        )
+        self.tracer: Optional[Tracer] = None
+        if engine.tracing:
+            self.tracer = Tracer("query", "engine", query_id=self.query_id)
+        self.key = (self.rect.lo, self.rect.hi, frozenset(self.words))
+        self.results = engine._cached(
+            self.key, self.query_id, self.rect, self.words, self.budget, self.tracer
+        )
+        self.active = [0] if self.results is None else []
+
+    def run(self, shard_id: int) -> Tuple[CostCounter, Outcome]:
+        """Execute the query (:meth:`QueryEngine._execute`); records nothing."""
+        spent = CostCounter()  # per-query accumulator, never budgeted
+        return spent, self.engine._execute(
+            self.rect, self.words, self.budget, spent, self.tracer
+        )
+
+    def finish(self, outcomes: Iterable[Tuple[CostCounter, Outcome]]) -> Tuple[KeywordObject, ...]:
+        """Cache, record and account the one outcome of :meth:`run`."""
+        ((spent, outcome),) = outcomes
+        self.results = self.engine._finish(
+            self.query_id, self.rect, self.words, self.budget, spent, self.caller,
+            self.key, self.tracer, outcome,
+        )
+        return self.results

@@ -62,7 +62,7 @@ from ..dataset import Dataset, KeywordObject
 from ..errors import ValidationError
 from ..geometry.rectangles import Rect
 from ..telemetry.events import EventLog
-from ..trace import MetricsRegistry, Tracer, span_for
+from ..trace import Tracer, span_for
 from .engine import Outcome, QueryEngine, ServingBase
 
 
@@ -250,6 +250,7 @@ class Fanout:
     The executor then calls :meth:`run` once per active shard — inline, or
     on worker threads as long as no two calls run the same shard at once —
     and hands the outcomes, in any order, to :meth:`finish`.
+    :class:`~repro.service.engine.EnginePlan` is the one-shard form.
     """
 
     __slots__ = (
@@ -405,8 +406,10 @@ class ShardedQueryEngine(ServingBase):
     ``tracing=True`` each query's record carries a finished span tree whose
     fan-out span holds one child span per shard that ran; the per-shard
     engines' strategy and index spans nest under their shard span.  Every
-    tally lives in this engine — the ``metrics`` registry (private by
-    default) and the :meth:`planner_stats` cells, per shard and merged.
+    tally lives in this engine — its ``metrics`` registry and the
+    :meth:`planner_stats` cells, per shard and merged.  With
+    ``shards=1`` it is the engine for a corpus that takes inserts and
+    deletes.
     """
 
     def __init__(
@@ -420,7 +423,6 @@ class ShardedQueryEngine(ServingBase):
         seed: int = 0,
         keep_records: int = 1024,
         tracing: bool = False,
-        metrics: Optional[MetricsRegistry] = None,
         backend: str = "cost_model",
         events: Optional[EventLog] = None,
     ):
@@ -430,9 +432,7 @@ class ShardedQueryEngine(ServingBase):
         # so the initial shard map's epoch_publish event is emitted too.  The
         # backend is handed to every shard engine ("auto" resolves per shard,
         # per query, against that shard's own metrics history).
-        self._init_serving(
-            default_budget, cache_size, keep_records, tracing, metrics, events, backend
-        )
+        self._init_serving(default_budget, cache_size, keep_records, tracing, events, backend)
         self.dataset = dataset
         self.num_shards = shards
         self.max_k = max_k

@@ -7,7 +7,6 @@ decomposition of :class:`~repro.costmodel.CostCounter` charges) and
 
 from .metrics import (
     DEFAULT_BUCKETS,
-    GLOBAL_REGISTRY,
     MetricCounter,
     MetricGauge,
     MetricHistogram,
@@ -17,7 +16,6 @@ from .span import NULL_SPAN, SELF_SPAN, TraceSpan, Tracer, span_for
 
 __all__ = [
     "DEFAULT_BUCKETS",
-    "GLOBAL_REGISTRY",
     "MetricCounter",
     "MetricGauge",
     "MetricHistogram",

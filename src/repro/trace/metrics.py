@@ -1,11 +1,10 @@
 """Process-level metrics: named counters and histograms with snapshots.
 
-The serving layer's :class:`~repro.service.engine.QueryEngine` owns one
-:class:`MetricsRegistry` per engine by default — two engines never share
-counters unless a caller passes the same registry to both (the opt-in for
-process-wide aggregation; :data:`GLOBAL_REGISTRY` is a ready-made shared
-instance).  Everything is JSON-safe and deterministic: snapshots are sorted
-by instrument name, and histogram buckets are fixed at registration.
+Every serving engine owns one :class:`MetricsRegistry`, which its async
+front end, if any, writes too; two engines never share counters, and
+:func:`repro.telemetry.merge_registries` aggregates several.  Everything is
+JSON-safe and deterministic: snapshots are sorted by instrument name, and
+histogram buckets are fixed at registration.
 
 Like the rest of the trace layer, metrics carry *cost units and event
 counts*, never wall-clock durations (reprolint R5 audits this package).
@@ -252,8 +251,3 @@ class MetricsRegistry:
         for instrument in self._histograms.values():
             instrument.reset()
         self._gauges.clear()
-
-
-#: The opt-in process-wide registry: pass it to every engine that should
-#: aggregate into one set of process metrics.
-GLOBAL_REGISTRY = MetricsRegistry()

@@ -1,0 +1,216 @@
+"""Stateful differential over the serving front ends.
+
+A hypothesis state machine drives three pairs of twin engines through one
+stream of queries, repeated queries, inserts, deletes, rebalances and
+cache resizes: a plain :class:`QueryEngine`, and :class:`ShardedQueryEngine`
+built with 1 and with 3 shards.  In each pair the first twin serves inline
+and the second serves through an :class:`AsyncQueryEngine` on its worker
+pool.  After every query each answer must equal a brute-force scan of its
+live set, and after every step each pair's twins must hold identical
+records.  The plain pair takes no writes, so its live set is the build
+corpus.
+
+The draws are adversarial where the serving paths branch: inserts outside
+the build bounds, on a shard's boundary coordinate, on top of a live point
+and inside a rectangle already asked (so a cached answer would be stale);
+zero-area rectangles on a live point; a keyword that no object has;
+exactly ``max_k`` keywords; budgets from 1 (zero shares for most shards)
+up, or none.
+"""
+
+import asyncio
+
+from hypothesis import HealthCheck, settings
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
+
+from repro.dataset import KeywordObject
+from repro.geometry.rectangles import Rect
+from repro.service import AsyncQueryEngine, QueryEngine, ShardedQueryEngine
+from repro.workloads import WorkloadConfig, zipf_dataset
+
+MAX_K = 3
+VOCABULARY = 8
+#: A keyword that no object, built or inserted, ever has.
+ABSENT = VOCABULARY + 1
+DATASET = zipf_dataset(
+    WorkloadConfig(num_objects=40, vocabulary=VOCABULARY, doc_max=3, seed=1801)
+)
+BUILDS = {
+    "plain": lambda: QueryEngine(DATASET, max_k=MAX_K, cache_size=4),
+    "s1": lambda: ShardedQueryEngine(DATASET, shards=1, max_k=MAX_K, cache_size=4),
+    "s3": lambda: ShardedQueryEngine(DATASET, shards=3, max_k=MAX_K, cache_size=4),
+}
+SHARDED = ("s1", "s3")
+
+unit = st.floats(0.0, 1.0, allow_nan=False)
+wide = st.floats(-0.5, 1.5, allow_nan=False)
+far = st.floats(1.5, 3.0, allow_nan=False) | st.floats(-2.0, -0.5, allow_nan=False)
+words = st.lists(st.integers(1, VOCABULARY), min_size=1, max_size=MAX_K, unique=True)
+keyword_sets = st.one_of(
+    words,
+    st.lists(st.integers(1, VOCABULARY), min_size=MAX_K, max_size=MAX_K, unique=True),
+    words.map(lambda ws: [ABSENT] + ws[: MAX_K - 1]),
+)
+budgets = st.none() | st.integers(1, 400)
+docs = st.lists(st.integers(1, VOCABULARY), min_size=1, max_size=3, unique=True)
+
+
+def _box(xs, ys):
+    return Rect((min(xs), min(ys)), (max(xs), max(ys)))
+
+
+class FrontEndMachine(RuleBasedStateMachine):
+    def __init__(self):
+        super().__init__()
+        self.loop = asyncio.new_event_loop()
+        #: name -> (inline twin, pooled twin, the pooled twin's front end)
+        self.pairs = {}
+        for name, build in BUILDS.items():
+            pooled = build()
+            self.pairs[name] = (build(), pooled, AsyncQueryEngine(pooled, max_workers=2))
+        self.built = {obj.oid: obj for obj in DATASET.objects}
+        self.live = dict(self.built)
+        #: Every (rect, keywords, budget) asked so far, for repeats.
+        self.asked = []
+
+    def teardown(self):
+        for _inline, _pooled, front in self.pairs.values():
+            front.close()
+        self.loop.close()
+
+    def _sharded_engines(self):
+        for name in SHARDED:
+            inline, pooled, _front = self.pairs[name]
+            yield inline
+            yield pooled
+
+    # -- draws -------------------------------------------------------------------
+
+    def _rects(self):
+        points = [obj.point for obj in self.live.values()] or [(0.5, 0.5)]
+        live_point = st.sampled_from(points)
+        return st.one_of(
+            st.builds(_box, st.tuples(wide, wide), st.tuples(wide, wide)),
+            live_point.map(lambda p: Rect(p, p)),  # zero area, on a point
+            st.builds(  # zero width, through a point
+                lambda p, ys: Rect((p[0], min(ys)), (p[0], max(ys))),
+                live_point, st.tuples(wide, wide),
+            ),
+            st.just(Rect((-3.0, -3.0), (4.0, 4.0))),  # reaches every far insert
+        )
+
+    def _points(self):
+        split = sorted(
+            {
+                coord
+                for bounds in self.pairs["s3"][0].shard_bounds
+                if bounds is not None
+                for coord in bounds.lo + bounds.hi
+            }
+        ) or [0.5]
+        live = [obj.point for obj in self.live.values()] or [(0.5, 0.5)]
+        return st.one_of(
+            st.tuples(unit, unit),  # inside the build bounds
+            st.tuples(far, unit) | st.tuples(unit, far),  # outside them
+            st.tuples(st.sampled_from(split), unit),  # on a shard boundary
+            st.sampled_from(live),  # a duplicate point
+        )
+
+    # -- rules -------------------------------------------------------------------
+
+    @rule(data=st.data(), keywords=keyword_sets, budget=budgets)
+    def query(self, data, keywords, budget):
+        rect = data.draw(self._rects(), label="rect")
+        self.asked.append((rect, keywords, budget))
+        self._serve(rect, keywords, budget)
+
+    @precondition(lambda self: self.asked)
+    @rule(data=st.data())
+    def repeat_query(self, data):
+        """Ask an earlier query again: a cache hit, unless a write, a
+        rebalance or a resize since then must turn it into a miss."""
+        self._serve(*data.draw(st.sampled_from(self.asked), label="query"))
+
+    def _serve(self, rect, keywords, budget):
+        for name, (inline, pooled, front) in self.pairs.items():
+            answer = inline.query(rect, keywords, budget=budget)
+            pooled_answer = self.loop.run_until_complete(
+                front.query(rect, keywords, budget=budget)
+            )
+            corpus = self.built if name == "plain" else self.live
+            expected = sorted(
+                oid
+                for oid, obj in corpus.items()
+                if rect.contains_point(obj.point) and set(keywords) <= obj.doc
+            )
+            assert sorted(obj.oid for obj in answer) == expected, name
+            assert pooled_answer == answer, name
+            assert pooled.last_record.to_dict() == inline.last_record.to_dict(), name
+
+    @rule(data=st.data(), doc=docs)
+    def insert(self, data, doc):
+        point = data.draw(self._points(), label="point")
+        self._insert(point, doc)
+
+    @precondition(lambda self: self.asked)
+    @rule(data=st.data(), extra=docs)
+    def insert_into_asked(self, data, extra):
+        """Insert a match of an earlier query, so a cached answer to it
+        would now be stale."""
+        rect, keywords, _budget = data.draw(st.sampled_from(self.asked), label="query")
+        point = data.draw(
+            st.tuples(*(st.floats(lo, hi) for lo, hi in zip(rect.lo, rect.hi))),
+            label="point",
+        )
+        self._insert(point, [w for w in keywords if w != ABSENT] + extra)
+
+    def _insert(self, point, doc):
+        (oid,) = {engine.insert(point, doc) for engine in self._sharded_engines()}
+        self.live[oid] = KeywordObject(
+            oid=oid, point=tuple(float(c) for c in point), doc=frozenset(doc)
+        )
+
+    @precondition(lambda self: self.live)
+    @rule(data=st.data())
+    def delete(self, data):
+        oid = data.draw(st.sampled_from(sorted(self.live)), label="oid")
+        for engine in self._sharded_engines():
+            engine.delete(oid)
+        del self.live[oid]
+
+    @rule(name=st.sampled_from(SHARDED), shards=st.integers(1, 4))
+    def rebalance(self, name, shards):
+        inline, pooled, _front = self.pairs[name]
+        inline.rebalance(shards=shards)
+        pooled.rebalance(shards=shards)
+
+    @rule(name=st.sampled_from(sorted(BUILDS)), capacity=st.integers(0, 6))
+    def resize_cache(self, name, capacity):
+        inline, pooled, _front = self.pairs[name]
+        inline.cache.resize(capacity)
+        pooled.cache.resize(capacity)
+
+    # -- invariants --------------------------------------------------------------
+
+    @invariant()
+    def twins_hold_identical_records(self):
+        for name, (inline, pooled, _front) in self.pairs.items():
+            assert [record.to_dict() for record in pooled.records] == [
+                record.to_dict() for record in inline.records
+            ], name
+
+    @invariant()
+    def sharded_engines_hold_the_live_set(self):
+        for engine in self._sharded_engines():
+            assert engine.epoch.live_oids() == frozenset(self.live)
+
+
+FrontEndMachine.TestCase.settings = settings(
+    derandomize=True,
+    max_examples=20,
+    stateful_step_count=25,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+TestFrontEndMachine = FrontEndMachine.TestCase

@@ -1,18 +1,20 @@
 """Every serving tally is a view of the query records.
 
-Three seeded runs keep every record, hit and evict the cache, and serve
+Four seeded runs keep every record, hit and evict the cache, and serve
 under budgets that force fallbacks and degraded answers: a plain
 :class:`QueryEngine`; a 3-shard :class:`ShardedQueryEngine` with inserts
 inside and outside its build bounds, deletes and one rebalance; and an
-:class:`AsyncQueryEngine` over a sharded engine whose SLO monitor sheds.
-From ``engine.records`` alone each test recomputes one family of tallies —
-the counters the record sink updates, the cost and result-count histograms
-of the OpenMetrics export, the ``stats()`` tallies, the shed counters, every
-query event, the planner cells — and asserts it equals what the stack
-reports.
+:class:`AsyncQueryEngine` over a sharded and over a plain engine, each
+with a tail sampler and an SLO monitor that sheds.  From
+``engine.records`` alone each test recomputes one family of tallies — the
+counters the record sink updates, the cost and result-count histograms of
+the OpenMetrics export, the ``stats()`` tallies, the shed counters, every
+query event, the planner cells, the sampler's offers and the SLO windows —
+and asserts it equals what the stack reports.
 """
 
 import asyncio
+import json
 import random
 from collections import Counter
 
@@ -21,7 +23,13 @@ import pytest
 from repro.costmodel import CATEGORIES
 from repro.errors import BudgetExceeded
 from repro.service import AsyncQueryEngine, QueryEngine, ShardedQueryEngine
-from repro.telemetry import EventLog, SLOMonitor, StatsCollector, render_openmetrics
+from repro.telemetry import (
+    EventLog,
+    SLOMonitor,
+    StatsCollector,
+    TailSampler,
+    render_openmetrics,
+)
 from repro.trace import MetricsRegistry
 from repro.workloads import WorkloadConfig, random_rect, zipf_dataset
 
@@ -100,19 +108,19 @@ def _sharded_run():
     return {"engine": engine, "events": events, "front": None}
 
 
-def _async_run():
-    rng = random.Random(1521)
-    events = EventLog()
-    engine = ShardedQueryEngine(
-        _dataset(1520), shards=3, max_k=2, cache_size=CACHE_SIZE,
-        keep_records=QUERIES, events=events,
-    )
+def _slo_monitor():
+    return SLOMonitor(window=16, p99_cost_target=1)  # any real cost burns
+
+
+def _front_run(seed, engine, events):
+    rng = random.Random(seed)
     front = AsyncQueryEngine(
         engine,
         max_inflight_cost=MAX_INFLIGHT,
         max_workers=2,
         events=events,
-        slo=SLOMonitor(window=16, p99_cost_target=1),  # any real cost burns
+        sampler=TailSampler(slowest_k=4),
+        slo=_slo_monitor(),
     )
     pool = _pool(rng)
 
@@ -132,7 +140,33 @@ def _async_run():
     return {"engine": engine, "events": events, "front": front}
 
 
-RUNS = {"plain": _plain_run, "sharded": _sharded_run, "async": _async_run}
+def _async_run():
+    events = EventLog()
+    engine = ShardedQueryEngine(
+        _dataset(1520), shards=3, max_k=2, cache_size=CACHE_SIZE,
+        keep_records=QUERIES, events=events,
+    )
+    return _front_run(1521, engine, events)
+
+
+def _async_plain_run():
+    """The front end over a plain engine: it opens, finishes and records on
+    its event loop and executes on its pool."""
+    events = EventLog()
+    engine = QueryEngine(
+        _dataset(1530), max_k=2, cache_size=CACHE_SIZE, keep_records=QUERIES,
+        events=events,
+    )
+    return _front_run(1531, engine, events)
+
+
+RUNS = {
+    "plain": _plain_run,
+    "sharded": _sharded_run,
+    "async": _async_run,
+    "async_plain": _async_plain_run,
+}
+ASYNC_RUNS = ["async", "async_plain"]
 
 
 @pytest.fixture(scope="module")
@@ -168,11 +202,11 @@ def test_runs_exercise_every_outcome(run):
     misses = _misses(engine)
     assert any(record.fallbacks for record in misses)
     assert any(record.degraded for record in misses)
-    if run["name"] != "plain":
+    if isinstance(engine, ShardedQueryEngine):
         assert any(_degraded_slices(record) for record in misses)
     if run["name"] == "sharded":
         assert engine.stats()["shards"]["rebalances"] == 1
-    if run["name"] == "async":
+    if run["front"] is not None:
         assert any(record.strategy == "shed" for record in engine.records)
 
 
@@ -230,7 +264,7 @@ def test_stats_tallies_are_record_views(run):
     assert stats["strategies"] == dict(Counter(record.strategy for record in records))
     assert stats["fallbacks"] == sum(len(record.fallbacks) for record in records)
     assert stats["degraded"] == sum(record.degraded for record in records)
-    if run["name"] != "plain":
+    if isinstance(engine, ShardedQueryEngine):
         assert stats["degraded_slices"] == sum(
             _degraded_slices(record) for record in records
         )
@@ -245,6 +279,50 @@ def test_shed_tallies_are_record_views(runs):
         record.reason != "shed:admission" for record in sheds
     )
     assert front.stats()["shed"] == len(sheds)
+
+
+@pytest.mark.parametrize("name", ASYNC_RUNS)
+def test_sampler_and_slo_window_are_record_views(runs, name):
+    """The sink offers every record, shed or served, to the attached sampler
+    and feeds every one into the attached SLO monitor."""
+    engine, front = runs[name]["engine"], runs[name]["front"]
+    records = engine.records
+    assert front.sampler.stats()["offered"] == len(records)
+    sampler, slo = TailSampler(slowest_k=4), _slo_monitor()
+    for record in records:
+        sampler.offer(record)
+        slo.observe_query(
+            cost=record.cost.get("total", 0),
+            budget_exhausted=bool(record.fallbacks),
+            shed=record.strategy == "shed",
+        )
+    assert sampler.stats() == front.sampler.stats()
+    assert [entry.to_dict() for entry in sampler.retained()] == [
+        entry.to_dict() for entry in front.sampler.retained()
+    ]
+    assert slo.report() == front.slo.report()
+
+
+@pytest.mark.parametrize("name", ASYNC_RUNS)
+def test_front_end_and_engine_write_one_registry(runs, name):
+    """Admission metering and the sink's shed counters land in the engine's
+    get-or-create registry: one instrument per name, a deterministic
+    snapshot, and an export that carries sheds and admissions."""
+    engine, front = runs[name]["engine"], runs[name]["front"]
+    registry = engine.metrics
+    assert front.metrics is registry
+    snapshot = registry.snapshot()
+    names = registry.counter_names() + registry.histogram_names() + registry.gauge_names()
+    assert len(names) == len(set(names))
+    assert registry.counter("shed_total") is registry.counter("shed_total")
+    assert json.dumps(snapshot, sort_keys=True) == json.dumps(
+        registry.snapshot(), sort_keys=True
+    )
+    lines = render_openmetrics(registry).splitlines()
+    sheds = sum(record.strategy == "shed" for record in engine.records)
+    assert f"repro_shed_total {sheds}" in lines
+    assert f"repro_admitted_total {len(_served(engine))}" in lines
+    assert snapshot["gauges"]["inflight_cost"] == 0
 
 
 def _expected_query_events(records):

@@ -12,7 +12,6 @@ from repro.geometry.rectangles import Rect
 from repro.service import QueryEngine
 from repro.trace import (
     DEFAULT_BUCKETS,
-    GLOBAL_REGISTRY,
     MetricCounter,
     MetricHistogram,
     MetricsRegistry,
@@ -170,50 +169,6 @@ class TestEngineIsolation:
         a.query(Rect((0.0, 0.0), (10.0, 10.0)), [1, 2])
         assert a.metrics.counter("queries_total").value == 1
         assert b.metrics.counter("queries_total").value == 0
-
-    def test_shared_registry_is_an_explicit_opt_in(self):
-        dataset = build_dataset()
-        shared = MetricsRegistry()
-        a = QueryEngine(dataset, max_k=2, cache_size=0, metrics=shared)
-        b = QueryEngine(dataset, max_k=2, cache_size=0, metrics=shared)
-        a.query(Rect((0.0, 0.0), (10.0, 10.0)), [1, 2])
-        b.query(Rect((0.0, 0.0), (5.0, 5.0)), [1, 2])
-        assert shared.counter("queries_total").value == 2
-        assert GLOBAL_REGISTRY is not shared  # opting in never touches global
-
-    def test_shared_registry_aggregates_without_double_registration(self):
-        """Two engines on one registry share instruments, never re-register.
-
-        ``counter``/``histogram`` are get-or-create, so the second engine
-        must reuse the first's instruments (no ValidationError, no split
-        counts) and repeated snapshots must render identically.
-        """
-        dataset = build_dataset()
-        shared = MetricsRegistry()
-        a = QueryEngine(dataset, max_k=2, cache_size=0, metrics=shared)
-        b = QueryEngine(dataset, max_k=2, cache_size=0, metrics=shared)
-        for engine in (a, b):
-            engine.query(Rect((0.0, 0.0), (10.0, 10.0)), [1, 2])
-            engine.query(Rect((0.0, 0.0), (4.0, 4.0)), [1])
-        snap = shared.snapshot()
-        assert snap["counters"]["queries_total"] == 4
-        assert snap["histograms"]["cost_total"]["count"] == 4
-        # One instrument per name: each registered name appears exactly once.
-        assert len(shared.counter_names()) == len(set(shared.counter_names()))
-        assert len(shared.histogram_names()) == len(set(shared.histogram_names()))
-        # Snapshot determinism: rendering twice is byte-identical.
-        assert json.dumps(snap, sort_keys=True) == json.dumps(
-            shared.snapshot(), sort_keys=True
-        )
-
-    def test_global_registry_opt_in_aggregates_across_engines(self):
-        dataset = build_dataset()
-        baseline = GLOBAL_REGISTRY.counter("queries_total").value
-        a = QueryEngine(dataset, max_k=2, cache_size=0, metrics=GLOBAL_REGISTRY)
-        b = QueryEngine(dataset, max_k=2, cache_size=0, metrics=GLOBAL_REGISTRY)
-        a.query(Rect((0.0, 0.0), (10.0, 10.0)), [1, 2])
-        b.query(Rect((0.0, 0.0), (10.0, 10.0)), [1, 2])
-        assert GLOBAL_REGISTRY.counter("queries_total").value == baseline + 2
 
     def test_stats_exposes_metrics_snapshot(self):
         dataset = build_dataset()
