@@ -9,11 +9,11 @@ index, and the amortized insertion cost in objects-rebuilt per insertion.
 import math
 import random
 
-from repro.core.dynamic import DynamicOrpKw
 from repro.core.dynamize import (
     DynamicKeywordsOnly,
     DynamicLcKw,
     DynamicMultiKOrp,
+    DynamicOrpKw,
     DynamicSrpKw,
 )
 from repro.core.orp_kw import OrpKwIndex

@@ -2,7 +2,7 @@
 
 The paper's indexes are static; this example shows the extension layer a
 deployment needs — the logarithmic-method dynamization
-(:class:`~repro.core.dynamic.DynamicOrpKw`) under churn, and saving/loading
+(:class:`~repro.core.dynamize.DynamicOrpKw`) under churn, and saving/loading
 a built static index (:mod:`repro.persist`).
 
 Run with:  python examples/dynamic_updates.py

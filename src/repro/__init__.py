@@ -47,11 +47,11 @@ from .intervaltree import IntervalTree
 from .core.planner import HybridPlanner
 from .text import Vocabulary, dataset_from_texts, tokenize
 from .ksi import BitsetKSI, InvertedIndex, KSetIndex, NaiveKSI
-from .core.dynamic import DynamicOrpKw
 from .core.dynamize import (
     DynamicKeywordsOnly,
     DynamicLcKw,
     DynamicMultiKOrp,
+    DynamicOrpKw,
     DynamicSrpKw,
     Dynamized,
     GaugeCompactionPolicy,

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from ..core.dim_reduction import DimReductionOrpKw
-from ..core.dynamic import DynamicOrpKw
+from ..core.dynamize import DynamicOrpKw
 from ..core.nn_linf import LinfNnIndex
 from ..core.orp_kw import OrpKwIndex
 from ..core.srp_kw import SrpKwIndex

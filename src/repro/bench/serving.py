@@ -28,10 +28,10 @@ from __future__ import annotations
 import asyncio
 import random
 import time
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..dataset import Dataset
-from ..core.dynamic import DynamicOrpKw
+from ..core.dynamize import DynamicOrpKw
 from ..geometry.rectangles import Rect
 from ..service import AsyncDynamicIndex, AsyncQueryEngine, ShardedQueryEngine
 from ..workloads.generators import WorkloadConfig, zipf_dataset

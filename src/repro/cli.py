@@ -162,11 +162,11 @@ def _build_dynamic_index(kind: str, dataset: Dataset, k: int):
     published epoch), so the saved index supports further inserts and
     deletes after ``load_index`` — the point of ``build --dynamic``.
     """
-    from .core.dynamic import DynamicOrpKw
     from .core.dynamize import (
         DynamicKeywordsOnly,
         DynamicLcKw,
         DynamicMultiKOrp,
+        DynamicOrpKw,
         DynamicSrpKw,
     )
 
@@ -532,8 +532,7 @@ def cmd_query(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return 0
-        from .core.dynamic import DynamicOrpKw
-        from .core.dynamize import DynamicKeywordsOnly, DynamicMultiKOrp
+        from .core.dynamize import DynamicKeywordsOnly, DynamicMultiKOrp, DynamicOrpKw
 
         rect_kinds = (OrpKwIndex, DynamicOrpKw, DynamicKeywordsOnly, DynamicMultiKOrp)
         if not isinstance(index, rect_kinds):

@@ -117,12 +117,6 @@ class KeywordsOnlyIndex:
         state["_fast"] = None
         return state
 
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-        # Indexes pickled before the vectorized backend existed.
-        self.__dict__.setdefault("backend", "cost_model")
-        self.__dict__.setdefault("_fast", None)
-
     def _fast_backend(self):
         if self._fast is None:
             from ..fast import VectorizedBackend

@@ -1,9 +1,8 @@
 """Generic Bentley–Saxe dynamization for any static Table-1 index.
 
-The paper's indexes are static.  :mod:`repro.core.dynamic` introduced the
-classic *logarithmic method* (Bentley–Saxe) for ORP-KW; this module extracts
-that machinery into a reusable layer so every Table-1 family gains inserts
-and deletes through the same audited mechanism:
+The paper's indexes are static.  This module adds inserts and deletes to
+every Table-1 family through one audited mechanism, the classic
+*logarithmic method* (Bentley–Saxe):
 
 * a **geometric bucket ladder** — static sub-indexes of doubling capacities;
   an insertion merges the carry chain of full buckets into the next empty
@@ -26,15 +25,16 @@ and deletes through the same audited mechanism:
 A family plugs in through an :class:`IndexAdapter`: how to build a static
 sub-index over a bucket's objects, how to run one family-specific query
 against it, and how to count the live stored entries.  The concrete
-dynamized classes at the bottom of this module cover the remaining Table-1
-structures (:class:`DynamicKeywordsOnly`, :class:`DynamicLcKw`,
-:class:`DynamicSrpKw`, :class:`DynamicMultiKOrp`);
-:class:`~repro.core.dynamic.DynamicOrpKw` is the ORP-KW wiring and keeps
-its original module for backward compatibility.
+dynamized classes at the bottom of this module cover the five Table-1
+structures (:class:`DynamicOrpKw`, :class:`DynamicKeywordsOnly`,
+:class:`DynamicLcKw`, :class:`DynamicSrpKw`, :class:`DynamicMultiKOrp`).
 
-Concurrency contract (unchanged from :mod:`repro.core.dynamic`): one writer
-at a time — callers serialize mutations — and any number of readers, each
-pinning the current epoch lock-free via :meth:`Dynamized.snapshot`.
+Concurrency contract: one writer at a time — callers serialize mutations
+(the async serving layer does this with a writer lock) — and any number of
+readers, each pinning the current epoch lock-free via
+:meth:`Dynamized.snapshot`.  A reader runs entirely against its frozen
+epoch, so it never observes a half-applied batch, an object duplicated by
+a carry merge, or a mid-rebuild empty bucket list.
 """
 
 from __future__ import annotations
@@ -513,9 +513,8 @@ class Dynamized:
             obj for oid, obj in self._objects.items() if oid not in tombstones
         ]
         self._objects = {obj.oid: obj for obj in live}
-        events = getattr(self, "_events", None)
-        if events is not None:
-            events.emit(
+        if self._events is not None:
+            self._events.emit(
                 "compaction",
                 family=self.adapter.name,
                 purged=len(tombstones),
@@ -539,12 +538,9 @@ class Dynamized:
             len(self._objects) - len(tombstones),
             self.maintenance.snapshot(),
         )
-        # getattr: instances unpickled from pre-telemetry snapshots lack
-        # the attribute until their next construction-time wiring.
-        events = getattr(self, "_events", None)
-        if events is not None:
+        if self._events is not None:
             epoch = self._epoch
-            events.emit(
+            self._events.emit(
                 "epoch_publish",
                 epoch=epoch.epoch_id,
                 live=epoch.live_count,
@@ -591,9 +587,8 @@ class Dynamized:
                 bucket = new[level]
                 if bucket is None and len(carry) <= (1 << level):
                     new[level] = self._build_bucket(carry)
-                    events = getattr(self, "_events", None)
-                    if events is not None:
-                        events.emit(
+                    if self._events is not None:
+                        self._events.emit(
                             "carry_merge",
                             family=self.adapter.name,
                             carry=incoming,
@@ -739,6 +734,33 @@ class MultiKOrpAdapter(IndexAdapter):
 
 
 # -- concrete dynamized Table-1 indexes ----------------------------------------
+
+
+class DynamicOrpKw(Dynamized):
+    """Insert/delete-capable ORP-KW (rect, exactly k words).
+
+    Query time: ``O(log n)`` static queries, i.e.
+    ``O(N^(1-1/k)(1+OUT^(1/k)) * log n)``.  Insertion: amortized
+    ``O(log n)`` rebuild participations per object, each charged to
+    :attr:`~Dynamized.maintenance`.
+    """
+
+    epoch_class = RectEpoch
+
+    def __init__(self, k: int, dim: int, metrics=None, policy=None, events=None):
+        super().__init__(
+            OrpKwAdapter(k), dim, metrics=metrics, policy=policy, events=events
+        )
+        self.k = k
+
+    def query(
+        self,
+        rect,
+        keywords: Sequence[int],
+        counter: Optional[CostCounter] = None,
+    ) -> List[KeywordObject]:
+        """Report matches across all live buckets (tombstones filtered)."""
+        return self._epoch.query(rect, keywords, counter)
 
 
 class DynamicKeywordsOnly(Dynamized):

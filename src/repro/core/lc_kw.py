@@ -122,11 +122,6 @@ class LcKwIndex:
         #: per-candidate ``comparisons`` charge, identical results.
         self.backend = validate_backend(backend)
 
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-        # Indexes pickled before the vectorized backend existed.
-        self.__dict__.setdefault("backend", "cost_model")
-
     def query(
         self,
         constraints: Sequence[HalfSpace],

@@ -24,7 +24,7 @@ planner lands to the per-query optimum.
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..costmodel import CostCounter, ensure_counter
 from ..dataset import Dataset, KeywordObject, validate_nonempty_keywords
@@ -33,13 +33,21 @@ from ..geometry.rectangles import Rect
 from ..ksi.inverted import InvertedIndex
 from ..trace import span_for
 from .baselines import KeywordsOnlyIndex, StructuredOnlyIndex
+from .multi_k import MultiKOrpIndex
 from .orp_kw import OrpKwIndex
 
 STRATEGIES = ("fused", "keywords_only", "structured_only")
 
 
 class HybridPlanner:
-    """Cost-based routing between the three §1 strategies."""
+    """Cost-based routing between the three §1 strategies.
+
+    :meth:`strategies_by_cost` is the serving layer's plan: it returns the
+    strategy chain and the estimates it was ordered by, and keeps nothing
+    between calls.  :meth:`query` is the race (fused index first, under the
+    best naive estimate as its budget), which records its choice in
+    :attr:`last_plan`.
+    """
 
     def __init__(
         self,
@@ -47,36 +55,26 @@ class HybridPlanner:
         k: int,
         sample_size: int = 256,
         seed: int = 0,
-        fused_index: Optional[OrpKwIndex] = None,
+        fused_index: Optional[Union[OrpKwIndex, MultiKOrpIndex]] = None,
         inverted: Optional[InvertedIndex] = None,
         structured: Optional[StructuredOnlyIndex] = None,
         keywords_index: Optional[KeywordsOnlyIndex] = None,
-        backend: str = "cost_model",
-        fast_backend=None,
     ):
         """The optional ``fused_index`` / ``inverted`` / ``structured`` /
         ``keywords_index`` parameters let a caller that already built those
-        structures (e.g. :class:`repro.service.QueryEngine`, which keeps one
-        planner per ``k``) share them instead of paying for duplicates.
-
-        ``backend="vectorized"`` executes the keywords-only strategy through
-        the numpy fast path (:mod:`repro.fast`) — same results, same charged
-        cost, batched execution; ``fast_backend`` shares an already-built
-        :class:`~repro.fast.VectorizedBackend` the same way the index
-        parameters do.
+        structures share them instead of paying for duplicates.
+        :class:`repro.service.QueryEngine` passes its
+        :class:`~repro.core.multi_k.MultiKOrpIndex` as the fused index, so
+        its one planner plans every keyword count; without one the planner
+        builds a Theorem-1 index for exactly ``k`` keywords.
         """
-        from ..fast import validate_backend
-
         if sample_size < 1:
             raise ValidationError("sample_size must be >= 1")
         self.dataset = dataset
-        self.k = k
-        self.backend = validate_backend(backend)
-        self._fast = fast_backend
         # The fused index cannot be built over zero objects; an empty dataset
         # gets a fused-less planner whose every strategy reports nothing.
         if fused_index is not None:
-            self._fused: Optional[OrpKwIndex] = fused_index
+            self._fused = fused_index
         elif dataset.objects:
             self._fused = OrpKwIndex(dataset, k)
         else:
@@ -94,31 +92,6 @@ class HybridPlanner:
         self._sample = rng.sample(population, count)
         self.last_plan: Optional[Dict[str, float]] = None
 
-    def __getstate__(self):
-        # The array mirror is derived state: rebuild on demand after
-        # unpickling instead of bloating index files with numpy blocks.
-        state = dict(self.__dict__)
-        state["_fast"] = None
-        return state
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-        # Planners pickled before the vectorized backend existed.
-        self.__dict__.setdefault("backend", "cost_model")
-        self.__dict__.setdefault("_fast", None)
-
-    def _run_keywords(
-        self, rect: Rect, keywords: Sequence[int], counter: CostCounter
-    ) -> List[KeywordObject]:
-        """Execute the keywords-only strategy on the configured backend."""
-        if self.backend == "vectorized" and self.dataset.objects:
-            if self._fast is None:
-                from ..fast import VectorizedBackend
-
-                self._fast = VectorizedBackend(self.dataset)
-            return self._fast.query_rect(rect, keywords, counter)
-        return self._keywords.query_rect(rect, keywords, counter)
-
     # -- estimation -----------------------------------------------------------
 
     def _selectivity(self, rect: Rect) -> float:
@@ -128,23 +101,29 @@ class HybridPlanner:
         return hits / len(self._sample)
 
     def estimate(self, rect: Rect, keywords: Sequence[int]) -> Dict[str, float]:
-        """Per-strategy cost estimates (cost-model units)."""
-        words = validate_nonempty_keywords(keywords)
+        """Per-strategy cost estimates (cost-model units).
+
+        The fused estimate takes ``k`` from the query's distinct keywords.
+        A one-keyword query gets none: its fused route is the posting scan
+        that keywords-only already is.
+        """
+        words = set(validate_nonempty_keywords(keywords))
         postings = sorted(self._inverted.frequency(w) for w in words)
-        shortest = postings[0] if postings else 0
-        second = postings[1] if len(postings) > 1 else shortest
-        n = self.dataset.total_doc_size
+        shortest = postings[0]
         count = len(self.dataset)
         sel = self._selectivity(rect)
-        est_out = sel * shortest * (second / max(count, 1))
-        fused = n ** (1.0 - 1.0 / self.k) * (1.0 + est_out ** (1.0 / self.k))
-        return {
+        estimates = {
             "keywords_only": float(shortest),
             "structured_only": max(sel * count, 1.0),
-            "fused": fused,
-            "est_out": est_out,
-            "selectivity": sel,
         }
+        k = len(postings)
+        if k >= 2:
+            est_out = sel * shortest * (postings[1] / max(count, 1))
+            n = self.dataset.total_doc_size
+            estimates["fused"] = n ** (1.0 - 1.0 / k) * (1.0 + est_out ** (1.0 / k))
+            estimates["est_out"] = est_out
+        estimates["selectivity"] = sel
+        return estimates
 
     def choose(self, rect: Rect, keywords: Sequence[int]) -> str:
         """Name of the naive strategy with the smallest estimate.
@@ -160,19 +139,22 @@ class HybridPlanner:
         self.last_plan = dict(estimates, fallback=choice)
         return choice
 
-    def strategies_by_cost(self, rect: Rect, keywords: Sequence[int]) -> List[str]:
-        """All three strategies, cheapest estimate first.
+    def strategies_by_cost(
+        self, rect: Rect, keywords: Sequence[int]
+    ) -> Tuple[List[str], Dict[str, float]]:
+        """The strategies, cheapest estimate first, and the estimates.
 
         The serving layer's fallback chain: try each in turn under the
         remaining budget.  Ties break toward the fused index (its estimate is
-        a worst-case bound, the naives' are expectations).
+        a worst-case bound, the naives' are expectations).  A one-keyword
+        query's chain leaves the fused index out.
         """
         estimates = self.estimate(rect, keywords)
         order = sorted(
-            STRATEGIES, key=lambda s: (estimates[s], STRATEGIES.index(s))
+            (s for s in STRATEGIES if s in estimates),
+            key=lambda s: (estimates[s], STRATEGIES.index(s)),
         )
-        self.last_plan = dict(estimates, fallback=order[0])
-        return order
+        return order, estimates
 
     # -- execution ----------------------------------------------------------------
 
@@ -211,7 +193,7 @@ class HybridPlanner:
         self.last_plan["choice"] = fallback
         with span_for(counter, fallback, "planner"):
             if fallback == "keywords_only":
-                return self._run_keywords(rect, keywords, counter)
+                return self._keywords.query_rect(rect, keywords, counter)
             return self._structured.query_rect(rect, keywords, counter)
 
     def query_with(
@@ -232,7 +214,7 @@ class HybridPlanner:
                     return []
                 return self._fused.query(rect, keywords, counter)
             if strategy == "keywords_only":
-                return self._run_keywords(rect, keywords, counter)
+                return self._keywords.query_rect(rect, keywords, counter)
             return self._structured.query_rect(rect, keywords, counter)
 
     @property

@@ -41,11 +41,6 @@ class SrpKwIndex:
         #: tolerance as the scalar loop, identical results.
         self.backend = validate_backend(backend)
 
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-        # Indexes pickled before the vectorized backend existed.
-        self.__dict__.setdefault("backend", "cost_model")
-
     def query(
         self,
         center: Sequence[float],

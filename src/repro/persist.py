@@ -10,6 +10,12 @@ open resources, so serialization is pickle with an integrity envelope:
 * the class name of the stored index (refuse loading a SrpKwIndex where an
   OrpKwIndex is expected).
 
+The format version is bumped on every change to what is pickled: a class's
+attributes, or the module a pickled class lives in.  A file in an older
+format is refused, never migrated, so no class carries code that fills in
+the fields of an older layout; pickling hooks only drop or rebuild derived
+and attached state.  Rebuild the index from its data instead.
+
 Security note (standard pickle caveat): only load index files you wrote.
 """
 
@@ -21,9 +27,10 @@ from typing import Optional, Tuple, Type, Union
 
 from .errors import ValidationError
 
-#: File format magic + version. Bump the version on layout changes.
+#: File format magic + version.  Bump the version on every change to what
+#: is pickled (see the module docstring).
 MAGIC = "repro-index"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 def save_index(index, path) -> None:

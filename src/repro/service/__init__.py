@@ -5,8 +5,9 @@ structures rather than letting every caller wire planner, indexes, and cost
 accounting together by hand.  This package is that layer for :mod:`repro`:
 
 * :class:`QueryEngine` — fronts :class:`~repro.core.multi_k.MultiKOrpIndex`
-  and :class:`~repro.core.planner.HybridPlanner`, executes single and batched
-  queries under an explicit cost budget, and degrades gracefully (budget
+  through one :class:`~repro.core.planner.HybridPlanner` that plans every
+  query, whatever its keyword count; executes single and batched queries
+  under an explicit cost budget, and degrades gracefully (budget
   blow-ups become recorded fallbacks, never exceptions); it shares its
   validation, cache-hit, finish and shed records, its record sink (the
   one input of every counter, event, retained trace and SLO window) and

@@ -27,7 +27,7 @@ query served here gets the same results, cost, slices and degraded flags
 as one served inline.
 
 **Snapshot isolation** (:class:`AsyncDynamicIndex` over a
-:class:`~repro.core.dynamic.DynamicOrpKw`).  Writers serialize behind an
+:class:`~repro.core.dynamize.DynamicOrpKw`).  Writers serialize behind an
 :class:`asyncio.Lock` and each mutation publishes one immutable epoch;
 readers pin a :class:`~repro.service.snapshots.Snapshot` and run lock-free
 against it, so a rebuild mid-query can never surface a half-applied batch,
@@ -216,8 +216,9 @@ class AsyncQueryEngine:
         )
         # One lock per shard id (a plain engine is shard 0), created on the
         # loop thread on first use, since a rebalance may grow the shard
-        # count: the planners keep per-call state, so same-shard calls must
-        # never overlap.
+        # count: an ``auto`` engine's backend rule writes its history into
+        # the shard engine's registry, so same-shard calls must never
+        # overlap.
         self._locks: DefaultDict[int, threading.Lock] = defaultdict(threading.Lock)
 
     # -- lifecycle ---------------------------------------------------------------

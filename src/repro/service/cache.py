@@ -124,8 +124,6 @@ class LRUCache:
             "hits": self.hits,
             "misses": self.misses,
             "evictions": self.evictions,
-            # getattr: caches unpickled from pre-resize snapshots lack the
-            # counter entirely.
-            "capacity_evictions": getattr(self, "capacity_evictions", 0),
+            "capacity_evictions": self.capacity_evictions,
             "hit_rate": self.hit_rate,
         }

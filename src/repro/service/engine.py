@@ -2,14 +2,15 @@
 
 :class:`QueryEngine` is the single entry point a deployment talks to.  It
 owns a :class:`~repro.core.multi_k.MultiKOrpIndex` (one Theorem-1 index per
-keyword count), one :class:`~repro.core.planner.HybridPlanner` per ``k``
+keyword count), one :class:`~repro.core.planner.HybridPlanner` over it
 (sharing the fused indexes, inverted index, and baselines — nothing is built
 twice), an LRU result cache, and a lifetime cost counter.
 
 Execution contract
 ------------------
-Every query runs the planner's strategies **cheapest estimate first**, each
-under the per-query budget.  A strategy that raises
+The planner plans every query, whatever its keyword count, and keeps no
+state between calls.  Every query runs its strategies **cheapest estimate
+first**, each under the per-query budget.  A strategy that raises
 :class:`~repro.errors.BudgetExceeded` is abandoned — its spent units are
 still accounted — and the next strategy takes over, recorded as a fallback.
 If every strategy blows the budget, the cheapest one is re-run *unbudgeted*
@@ -89,9 +90,7 @@ class QueryRecord:
             "strategy": self.strategy,
             "cache": self.cache,
             "budget": self.budget,
-            # getattr: records unpickled from pre-vectorized-backend
-            # snapshots lack the field entirely.
-            "backend": getattr(self, "backend", "cost_model"),
+            "backend": self.backend,
             "degraded": self.degraded,
             "fallbacks": list(self.fallbacks),
             "cost": dict(self.cost),
@@ -99,9 +98,7 @@ class QueryRecord:
             "result_count": self.result_count,
             "shards": [dict(s) for s in self.shards],
             "trace": self.trace,
-            # getattr: records unpickled from pre-async-serving snapshots
-            # lack the field entirely.
-            "reason": getattr(self, "reason", None),
+            "reason": self.reason,
         }
 
     def to_json(self) -> str:
@@ -186,23 +183,6 @@ class ServingBase:
         state = dict(self.__dict__)
         state.update(_events=None, sampler=None, slo=None)
         return state
-
-    def __setstate__(self, state: Dict[str, Any]) -> None:
-        # Engines pickled before a layer existed lack its fields; default
-        # them so old index files keep serving (and stats()) cleanly.
-        self.__dict__.update(state)
-        # ... the trace layer.
-        self.__dict__.setdefault("tracing", False)
-        if self.__dict__.get("metrics") is None:
-            self.metrics = MetricsRegistry()
-        # ... the vectorized backend.
-        self.__dict__.setdefault("backend", "cost_model")
-        # ... the telemetry subsystem.
-        self.__dict__.setdefault("_events", None)
-        self.__dict__.setdefault("sampler", None)
-        self.__dict__.setdefault("slo", None)
-        if self.__dict__.get("stats_collector") is None:
-            self.stats_collector = StatsCollector()
 
     # -- the query prologue and epilogue ------------------------------------------
 
@@ -586,8 +566,6 @@ class QueryEngine(ServingBase):
         max_k: int = 4,
         default_budget: Optional[int] = None,
         cache_size: int = 128,
-        sample_size: int = 256,
-        seed: int = 0,
         keep_records: int = 1024,
         tracing: bool = False,
         backend: str = "cost_model",
@@ -611,31 +589,23 @@ class QueryEngine(ServingBase):
 
         if dataset.objects:
             self._index: Optional[MultiKOrpIndex] = MultiKOrpIndex(dataset, max_k)
-            inverted = self._index.inverted
             self._structured: Optional[StructuredOnlyIndex] = StructuredOnlyIndex(
                 dataset
             )
-            self._keywords = KeywordsOnlyIndex(dataset, inverted=inverted)
-            self._planners: Dict[int, HybridPlanner] = {
-                k: HybridPlanner(
-                    dataset,
-                    k,
-                    sample_size=sample_size,
-                    seed=seed,
-                    fused_index=self._index.fused_for(k),
-                    inverted=inverted,
-                    structured=self._structured,
-                    keywords_index=self._keywords,
-                )
-                for k in range(2, max_k + 1)
-            }
-            self._inverted = inverted
+            self._keywords = KeywordsOnlyIndex(dataset, inverted=self._index.inverted)
+            self._planner: Optional[HybridPlanner] = HybridPlanner(
+                dataset,
+                max_k,
+                fused_index=self._index,
+                inverted=self._index.inverted,
+                structured=self._structured,
+                keywords_index=self._keywords,
+            )
         else:
             self._index = None
             self._structured = None
             self._keywords = None
-            self._planners = {}
-            self._inverted = None
+            self._planner = None
 
     def __getstate__(self) -> Dict[str, Any]:
         # The array mirror is derived state: rebuild after unpickling
@@ -645,39 +615,13 @@ class QueryEngine(ServingBase):
         return state
 
     def __setstate__(self, state: Dict[str, Any]) -> None:
-        super().__setstate__(state)
-        # Engines pickled before the prune rule.
-        self.__dict__.setdefault("_fast", None)
-        if "bounds" not in self.__dict__:
-            self.bounds = _bounding_rect(self.dataset)
+        self.__dict__.update(state)
         if self.backend != "cost_model" and self.dataset.objects:
             from ..fast import VectorizedBackend
 
             self._fast = VectorizedBackend(self.dataset)
 
     # -- planning ---------------------------------------------------------------
-
-    def _plan(self, rect: Rect, words: Sequence[int]) -> Tuple[List[str], Dict[str, float]]:
-        """Strategy chain (cheapest estimate first) plus the raw estimates."""
-        k = len(words)
-        if k >= 2:
-            planner = self._planners[k]
-            order = planner.strategies_by_cost(rect, words)
-            return order, dict(planner.last_plan)
-        # k == 1: the fused route *is* the inverted scan plus a containment
-        # filter, so the real contest is keywords-only vs structured-only.
-        shortest = min(self._inverted.frequency(w) for w in words)
-        sample_planner = self._planners.get(2)
-        sel = sample_planner._selectivity(rect) if sample_planner else 0.0
-        estimates = {
-            "keywords_only": float(shortest),
-            "structured_only": max(sel * len(self.dataset), 1.0),
-            "selectivity": sel,
-        }
-        order = sorted(
-            ("keywords_only", "structured_only"), key=lambda s: estimates[s]
-        )
-        return order, estimates
 
     #: Below this estimated candidate count the numpy fast path's fixed
     #: per-call overhead (array allocation, searchsorted) beats any batching
@@ -769,7 +713,7 @@ class QueryEngine(ServingBase):
             strategy = "empty_dataset" if self.bounds is None else "pruned"
             return Outcome((), strategy, "cost_model", [], {}, False)
 
-        order, estimates = self._plan(rect, words)
+        order, estimates = self._planner.strategies_by_cost(rect, words)
         backend = self._resolve_backend(estimates)
         fallbacks: List[Dict[str, Any]] = []
         for strategy in order:
@@ -818,13 +762,11 @@ class QueryEngine(ServingBase):
 
     @property
     def space_units(self) -> int:
-        """Stored entries across the fused indexes, baselines, and samples."""
-        units = 0
-        if self._index is not None:
-            units += self._index.space_units
-        for planner in self._planners.values():
-            units += len(planner._sample)
-        return units
+        """Stored entries across the fused indexes, baselines, and the
+        planner's sample."""
+        if self._index is None:
+            return 0
+        return self._index.space_units + len(self._planner._sample)
 
 
 class EnginePlan:

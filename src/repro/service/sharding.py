@@ -312,9 +312,10 @@ class Fanout:
         The shard's engine executes (:meth:`QueryEngine._execute`) for its
         build-time dataset; objects inserted since the last rebalance live in
         the map's delta buffer and are scanned on top (fully charged);
-        tombstoned objects are filtered from the combined slice.  The
-        planners keep per-call state, so same-shard calls must be serialized
-        to run on a worker pool.  Each call traces into a tracer of its own
+        tombstoned objects are filtered from the combined slice.  An
+        ``auto`` shard engine writes its backend history into its registry,
+        so same-shard calls must be serialized to run on a worker pool.
+        Each call traces into a tracer of its own
         (tracers are single-stack); :meth:`finish` grafts it into the tree.
         """
         engine = self.state.engines[shard_id]
@@ -419,8 +420,6 @@ class ShardedQueryEngine(ServingBase):
         max_k: int = 4,
         default_budget: Optional[int] = None,
         cache_size: int = 128,
-        sample_size: int = 256,
-        seed: int = 0,
         keep_records: int = 1024,
         tracing: bool = False,
         backend: str = "cost_model",
@@ -439,10 +438,6 @@ class ShardedQueryEngine(ServingBase):
         #: Global vocabulary, shared across shards (each shard's inverted
         #: index only covers its slice; stats report the full W).
         self.vocabulary = dataset.vocabulary
-        # Shard-engine build parameters, kept so a rebalance can construct
-        # replacement engines with the original configuration.
-        self._sample_size = sample_size
-        self._seed = seed
         #: New objects are routed to the shard whose bounds need the least
         #: expansion; once the largest shard exceeds ``rebalance_threshold``
         #: times its fair share (``live_total / shards``), the next mutation
@@ -456,28 +451,14 @@ class ShardedQueryEngine(ServingBase):
             self._fresh_map(0, tuple(partition_dataset(dataset, shards)))
         )
 
-    def _build_engines(self, datasets: Sequence[Dataset]) -> List[QueryEngine]:
-        """Fresh per-shard engines with this engine's build configuration."""
-        return [
-            QueryEngine(
-                shard,
-                max_k=self.max_k,
-                sample_size=self._sample_size,
-                seed=self._seed,
-                backend=self.backend,
-            )
-            for shard in datasets
-        ]
-
-    def _fresh_map(
-        self, epoch_id: int, datasets: Tuple[Dataset, ...],
-        engines: Optional[Tuple[QueryEngine, ...]] = None,
-    ) -> ShardMap:
+    def _fresh_map(self, epoch_id: int, datasets: Tuple[Dataset, ...]) -> ShardMap:
         """A map (not yet published) over freshly cut ``datasets``: fresh
-        engines unless given, their corpus boxes as bounds, empty deltas and
-        no tombstones."""
-        if engines is None:
-            engines = tuple(self._build_engines(datasets))
+        engines with this engine's build configuration, their corpus boxes
+        as bounds, empty deltas and no tombstones."""
+        engines = tuple(
+            QueryEngine(shard, max_k=self.max_k, backend=self.backend)
+            for shard in datasets
+        )
         #: Writer-side master copy of every object (tombstoned objects stay
         #: until a rebalance purges them) and each object's owning shard.
         #: Readers never touch these — all read state comes from the map.
@@ -508,32 +489,6 @@ class ShardedQueryEngine(ServingBase):
                 live=shard_map.live_count,
                 tombstones=len(shard_map.tombstones),
             )
-
-    def __setstate__(self, state: Dict[str, Any]) -> None:
-        # Engines pickled before the copy-on-write shard map existed carry
-        # plain shard_datasets / shard_engines (and, from the concurrent
-        # fan-out on, shard_bounds) attributes, now read-only properties
-        # over the map: migrate them into an epoch-0 ShardMap with empty
-        # deltas and tombstones.  Such maps never took an insert, so their
-        # bounds are the engines' corpus boxes.
-        legacy_datasets = state.pop("shard_datasets", None)
-        legacy_engines = state.pop("shard_engines", None)
-        state.pop("shard_bounds", None)
-        super().__setstate__(state)
-        # Engines pickled before online rebalancing existed.
-        self.__dict__.setdefault("_sample_size", 256)
-        self.__dict__.setdefault("_seed", 0)
-        self.__dict__.setdefault("rebalance_threshold", 1.5)
-        self.__dict__.setdefault("_rebalances", 0)
-        if "_state" not in self.__dict__ and legacy_datasets is not None:
-            self._publish_state(
-                self._fresh_map(
-                    0,
-                    tuple(legacy_datasets),
-                    None if legacy_engines is None else tuple(legacy_engines),
-                )
-            )
-            self._next_oid = max(self._objects, default=-1) + 1
 
     # -- published shard map -----------------------------------------------------
 

@@ -1,7 +1,7 @@
 """Copy-on-write snapshots: pinned, immutable read views for serving.
 
-:class:`~repro.core.dynamic.DynamicOrpKw` publishes every mutation as a new
-immutable :class:`~repro.core.dynamic.Epoch` (buckets + tombstones swapped
+:class:`~repro.core.dynamize.DynamicOrpKw` publishes every mutation as a new
+immutable :class:`~repro.core.dynamize.Epoch` (buckets + tombstones swapped
 in one reference assignment).  This module is the *serving-side* face of
 that mechanism:
 
@@ -21,7 +21,7 @@ readers, each pinning lock-free.
 
 from __future__ import annotations
 
-from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Any, Dict, FrozenSet, List, Optional, Sequence
 
 from ..costmodel import CostCounter
 from ..dataset import KeywordObject
@@ -77,7 +77,7 @@ class SnapshotManager:
     index:
         Any index exposing the epoch protocol: an ``epoch`` property plus a
         ``snapshot()`` method returning the current immutable epoch
-        (:class:`~repro.core.dynamic.DynamicOrpKw` is the concrete one).
+        (:class:`~repro.core.dynamize.DynamicOrpKw` is the concrete one).
     metrics:
         Registry receiving the gauges (``snapshot_epoch``, ``snapshot_age``)
         and the ``snapshots_pinned_total`` counter; private by default.

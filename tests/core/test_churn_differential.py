@@ -19,11 +19,11 @@ import random
 import pytest
 
 from repro.core.baselines import KeywordsOnlyIndex
-from repro.core.dynamic import DynamicOrpKw
 from repro.core.dynamize import (
     DynamicKeywordsOnly,
     DynamicLcKw,
     DynamicMultiKOrp,
+    DynamicOrpKw,
     DynamicSrpKw,
 )
 from repro.core.lc_kw import LcKwIndex

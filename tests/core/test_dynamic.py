@@ -1,8 +1,8 @@
-"""Unit tests for repro.core.dynamic (logarithmic-method dynamization)."""
+"""Unit tests for DynamicOrpKw (logarithmic-method dynamization)."""
 
 import pytest
 
-from repro.core.dynamic import DynamicOrpKw
+from repro.core.dynamize import DynamicOrpKw
 from repro.costmodel import CostCounter
 from repro.errors import ValidationError
 from repro.geometry.rectangles import Rect

@@ -161,8 +161,8 @@ class TestStrategyOrdering:
         ds = random_dataset(rng, 150)
         planner = HybridPlanner(ds, k=2)
         rect = Rect((2.0, 2.0), (8.0, 8.0))
-        order = planner.strategies_by_cost(rect, [1, 2])
+        order, estimates = planner.strategies_by_cost(rect, [1, 2])
         assert sorted(order) == sorted(STRATEGIES)
-        estimates = planner.estimate(rect, [1, 2])
+        assert estimates == planner.estimate(rect, [1, 2])
         costs = [estimates[s] for s in order]
         assert costs == sorted(costs)

@@ -17,7 +17,7 @@ from repro.core.baselines import (
     StructuredOnlyIndex,
     l2_distance_squared,
 )
-from repro.core.dynamic import DynamicOrpKw
+from repro.core.dynamize import DynamicOrpKw
 from repro.core.lc_kw import LcKwIndex
 from repro.core.multi_k import MultiKOrpIndex
 from repro.core.nn_l2 import L2NnIndex

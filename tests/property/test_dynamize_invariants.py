@@ -12,8 +12,7 @@ import threading
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.dynamic import DynamicOrpKw
-from repro.core.dynamize import GaugeCompactionPolicy
+from repro.core.dynamize import DynamicOrpKw, GaugeCompactionPolicy
 from repro.errors import ValidationError
 from repro.geometry.rectangles import Rect
 

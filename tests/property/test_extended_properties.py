@@ -4,7 +4,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.dynamic import DynamicOrpKw
+from repro.core.dynamize import DynamicOrpKw
 from repro.dataset import Dataset, make_objects
 from repro.geometry.halfspaces import HalfSpace
 from repro.geometry.polytope import HPolytope

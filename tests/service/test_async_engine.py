@@ -11,7 +11,7 @@ import threading
 import pytest
 
 from repro.costmodel import CostCounter
-from repro.core.dynamic import DynamicOrpKw
+from repro.core.dynamize import DynamicOrpKw
 from repro.errors import BudgetExceeded, ValidationError
 from repro.geometry.rectangles import Rect
 from repro.service import (
@@ -286,29 +286,6 @@ class TestShedding:
         gauges = stats["metrics"]["gauges"]
         assert gauges["inflight_cost"] == 0
         assert gauges["inflight_queries"] == 0
-
-
-class TestSetstateCompat:
-    def test_old_pickles_regrow_shard_bounds(self, rng):
-        # Engines pickled before the copy-on-write shard map existed carried
-        # plain shard_datasets / shard_engines attributes (and, before the
-        # concurrent fan-out, no shard_bounds at all): reconstruct such a
-        # state dict and check the bounds are regrown on revival.
-        engine = ShardedQueryEngine(random_dataset(rng, 80), shards=2)
-        state = dict(engine.__dict__)
-        old_map = state.pop("_state")
-        state.pop("_objects")
-        state.pop("_owner")
-        state.pop("_next_oid")
-        state["shard_datasets"] = list(old_map.datasets)
-        state["shard_engines"] = list(old_map.engines)
-        revived = ShardedQueryEngine.__new__(ShardedQueryEngine)
-        revived.__setstate__(state)
-        assert len(revived.shard_bounds) == 2
-        assert all(bounds is not None for bounds in revived.shard_bounds)
-        # The migrated map serves queries identically to the original.
-        rect = Rect((0.0, 0.0), (10.0, 10.0))
-        assert revived.query(rect, [1, 2]) == engine.query(rect, [1, 2])
 
 
 class TestAsyncDynamicIndex:

@@ -195,6 +195,44 @@ class TestObservability:
         assert exported[0]["query_id"] == 1
 
 
+class TestOnePlanner:
+    """One planner per engine plans every query, whatever its keyword count."""
+
+    def test_max_k_1_engine_plans_like_any_other(self, rng):
+        """A max_k=1 engine's one-keyword plans equal a max_k=2 engine's: it
+        estimates selectivity from the same sample instead of taking it as 0
+        and trying structured-only first on every query."""
+        ds = random_dataset(rng, 400, vocabulary=24)
+        queries = _random_queries(rng, 40, max_k=1, vocabulary=24)
+        plans = []
+        for max_k in (1, 2):
+            engine = QueryEngine(ds, max_k=max_k, cache_size=0)
+            engine.batch(queries)
+            plans.append(
+                [
+                    (r.strategy, r.estimates, r.cost, r.result_count)
+                    for r in engine.records
+                ]
+            )
+        assert plans[0] == plans[1]
+        assert any(strategy == "keywords_only" for strategy, *_ in plans[0])
+
+    def test_serving_leaves_the_planner_unchanged(self, rng):
+        """The planner keeps no state between calls: serving one-keyword and
+        multi-keyword queries, budgeted or not, changes none of its
+        attributes."""
+        engine = QueryEngine(random_dataset(rng, 150), max_k=3, cache_size=0)
+        planner = engine._planner
+        before = dict(vars(planner))
+        sample = list(planner._sample)
+        queries = _random_queries(rng, 30)
+        assert {len(words) for _rect, words in queries} == {1, 2, 3}
+        engine.batch(queries)
+        engine.batch(queries, budget=8)
+        assert vars(planner) == before
+        assert planner._sample == sample
+
+
 class TestValidation:
     def test_empty_keywords_rejected(self, rng):
         engine = QueryEngine(random_dataset(rng, 30), max_k=2)

@@ -8,7 +8,9 @@ and the second serves through an :class:`AsyncQueryEngine` on its worker
 pool.  After every query each answer must equal a brute-force scan of its
 live set, and after every step each pair's twins must hold identical
 records.  The plain pair takes no writes, so its live set is the build
-corpus.
+corpus.  Snapshots pinned on the sharded engines are held across later
+writes and rebalances: each must keep answering from the live set it
+pinned until it is released.
 
 The draws are adversarial where the serving paths branch: inserts outside
 the build bounds, on a shard's boundary coordinate, on top of a live point
@@ -26,7 +28,12 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, 
 
 from repro.dataset import KeywordObject
 from repro.geometry.rectangles import Rect
-from repro.service import AsyncQueryEngine, QueryEngine, ShardedQueryEngine
+from repro.service import (
+    AsyncQueryEngine,
+    QueryEngine,
+    ShardedQueryEngine,
+    SnapshotManager,
+)
 from repro.workloads import WorkloadConfig, zipf_dataset
 
 MAX_K = 3
@@ -73,6 +80,8 @@ class FrontEndMachine(RuleBasedStateMachine):
         self.live = dict(self.built)
         #: Every (rect, keywords, budget) asked so far, for repeats.
         self.asked = []
+        #: Held pins: (manager, snapshot, the live set when it was pinned).
+        self.pins = []
 
     def teardown(self):
         for _inline, _pooled, front in self.pairs.values():
@@ -185,6 +194,19 @@ class FrontEndMachine(RuleBasedStateMachine):
         inline.rebalance(shards=shards)
         pooled.rebalance(shards=shards)
 
+    @rule(data=st.data())
+    def pin(self, data):
+        engine = data.draw(st.sampled_from(list(self._sharded_engines())), label="engine")
+        manager = SnapshotManager(engine)
+        self.pins.append((manager, manager.pin(), dict(self.live)))
+
+    @precondition(lambda self: self.pins)
+    @rule(data=st.data())
+    def release(self, data):
+        index = data.draw(st.integers(0, len(self.pins) - 1), label="pin")
+        manager, snapshot, _live = self.pins.pop(index)
+        manager.release(snapshot)
+
     @rule(name=st.sampled_from(sorted(BUILDS)), capacity=st.integers(0, 6))
     def resize_cache(self, name, capacity):
         inline, pooled, _front = self.pairs[name]
@@ -204,6 +226,18 @@ class FrontEndMachine(RuleBasedStateMachine):
     def sharded_engines_hold_the_live_set(self):
         for engine in self._sharded_engines():
             assert engine.epoch.live_oids() == frozenset(self.live)
+
+    @invariant()
+    def pins_answer_from_the_live_set_they_pinned(self):
+        for _manager, snapshot, live in self.pins:
+            assert snapshot.live_oids() == frozenset(live)
+            for rect, keywords, _budget in self.asked[-3:]:
+                expected = sorted(
+                    oid
+                    for oid, obj in live.items()
+                    if rect.contains_point(obj.point) and set(keywords) <= obj.doc
+                )
+                assert [obj.oid for obj in snapshot.query(rect, keywords)] == expected
 
 
 FrontEndMachine.TestCase.settings = settings(

@@ -76,3 +76,22 @@ class TestFormatVersionGuard:
         message = str(excinfo.value)
         assert f"index file format {future} unsupported" in message
         assert f"this library reads format {FORMAT_VERSION}" in message
+
+    def test_format_1_file_rejected(self, rng, tmp_path):
+        """Format 1 is the layout before one planner per engine; its files
+        are refused, not migrated, even when the stored object would load."""
+        engine = QueryEngine(random_dataset(rng, 30), max_k=2)
+        envelope = {
+            "magic": MAGIC,
+            "format": 1,
+            "library_version": "0.0.0",
+            "index_class": "QueryEngine",
+            "index": engine,
+        }
+        path = tmp_path / "format1.idx"
+        Path(path).write_bytes(pickle.dumps(envelope))
+        with pytest.raises(ValidationError) as excinfo:
+            load_index(path, expected_class=QueryEngine)
+        message = str(excinfo.value)
+        assert "index file format 1 unsupported" in message
+        assert f"this library reads format {FORMAT_VERSION}" in message

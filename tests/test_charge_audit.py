@@ -18,7 +18,7 @@ import random
 
 import repro
 from repro.core.baselines import KeywordsOnlyIndex
-from repro.core.dynamic import DynamicOrpKw
+from repro.core.dynamize import DynamicOrpKw
 from repro.core.lc_kw import LcKwIndex
 from repro.core.orp_kw import OrpKwIndex
 from repro.core.srp_kw import SrpKwIndex
