@@ -2,9 +2,9 @@
 
 An intersection-heavy workload (the regime the fast path targets: the two
 most frequent Zipf keywords, whose posting lists cover a large fraction of
-the corpus, plus a selective rectangle) is served by
-:class:`repro.core.baselines.KeywordsOnlyIndex` on both backends at a sweep
-of corpus sizes.  Measured per N: wall-clock for the full query batch on
+the corpus, plus a selective rectangle) is served by the scalar
+:class:`repro.core.baselines.KeywordsOnlyIndex` and by the numpy
+:class:`repro.fast.VectorizedBackend` at a sweep of corpus sizes.  Measured per N: wall-clock for the full query batch on
 each backend and the speedup ratio.  Two claims under test:
 
 * **oracle equivalence** — the vectorized path returns byte-identical
@@ -30,6 +30,7 @@ import sys
 import time
 
 from repro.core.baselines import KeywordsOnlyIndex
+from repro.fast import VectorizedBackend
 from repro.geometry.rectangles import Rect
 
 from common import record, standard_dataset
@@ -78,8 +79,7 @@ def _sweep_rows(sweep_objects=SWEEP_OBJECTS, num_queries=NUM_QUERIES):
         dataset = standard_dataset(num_objects)
         workload = _workload(dataset, num_queries)
         scalar = KeywordsOnlyIndex(dataset)
-        vectorized = KeywordsOnlyIndex(dataset, backend="vectorized")
-        vectorized._fast_backend()  # build the arrays outside the timed region
+        vectorized = VectorizedBackend(dataset)  # arrays built outside the timed region
         scalar_s, scalar_answers = _timed_batch(scalar, workload)
         vector_s, vector_answers = _timed_batch(vectorized, workload)
         # Oracle equivalence on every query of the sweep.
@@ -123,10 +123,7 @@ def run(quick: bool = False) -> None:
 def _headline_fixture(num_objects=8000):
     dataset = standard_dataset(num_objects)
     workload = _workload(dataset, 10)
-    scalar = KeywordsOnlyIndex(dataset)
-    vectorized = KeywordsOnlyIndex(dataset, backend="vectorized")
-    vectorized._fast_backend()
-    return scalar, vectorized, workload
+    return KeywordsOnlyIndex(dataset), VectorizedBackend(dataset), workload
 
 
 def test_scalar_headline(benchmark):

@@ -90,54 +90,24 @@ class StructuredOnlyIndex:
 class KeywordsOnlyIndex:
     """Inverted-index intersection + geometric post-filter.
 
-    ``backend="vectorized"`` routes rectangle and halfspace-conjunction
-    queries through the numpy fast path (:mod:`repro.fast`): identical
-    results and charged cost totals, batched execution.  The cost-model
-    path remains the oracle (``tests/fast/test_backend_oracle.py``);
-    predicate queries with an arbitrary callable always run scalar.
+    The scalar path and the correctness oracle of the numpy
+    :class:`~repro.fast.VectorizedBackend`, which serves the same rectangle
+    and halfspace-conjunction queries with identical results and charged
+    cost totals (``tests/fast/test_backend_oracle.py``).
     """
 
-    def __init__(
-        self,
-        dataset: Dataset,
-        inverted: Optional[InvertedIndex] = None,
-        backend: str = "cost_model",
-    ):
-        from ..fast import validate_backend
-
+    def __init__(self, dataset: Dataset, inverted: Optional[InvertedIndex] = None):
         self.dataset = dataset
         self._inverted = inverted if inverted is not None else InvertedIndex(dataset)
-        self.backend = validate_backend(backend)
-        self._fast = None
-
-    def __getstate__(self):
-        # The array mirror is derived state: rebuild on demand after
-        # unpickling instead of bloating index files with numpy blocks.
-        state = dict(self.__dict__)
-        state["_fast"] = None
-        return state
-
-    def _fast_backend(self):
-        if self._fast is None:
-            from ..fast import VectorizedBackend
-
-            self._fast = VectorizedBackend(self.dataset)
-        return self._fast
 
     def query_rect(
         self, rect: Rect, keywords: Sequence[int], counter: Optional[CostCounter] = None
     ) -> List[KeywordObject]:
-        if self.backend == "vectorized":
-            return self._fast_backend().query_rect(rect, keywords, counter)
         return self.query_predicate(rect.contains_point, keywords, counter)
 
     def query_region(
         self, region, keywords: Sequence[int], counter: Optional[CostCounter] = None
     ) -> List[KeywordObject]:
-        if self.backend == "vectorized" and isinstance(region, ConvexRegion):
-            return self._fast_backend().query_halfspaces(
-                region.halfspaces, keywords, counter
-            )
         return self.query_predicate(region.contains_point, keywords, counter)
 
     def query_constraints(

@@ -390,12 +390,6 @@ class Dynamized:
         """Attach (or detach with ``None``) a telemetry event log."""
         self._events = events
 
-    @property
-    def _buckets(self) -> Tuple[Optional[_Bucket], ...]:
-        # Backward-compatible view of the live bucket list (tests and
-        # diagnostics iterate it); the canonical state lives in the epoch.
-        return self._epoch.buckets
-
     # -- updates ---------------------------------------------------------------
 
     def _coerce_point(self, point: Sequence[float]) -> Tuple[float, ...]:

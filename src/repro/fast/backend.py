@@ -29,8 +29,8 @@ from .arrays import ArrayStore, region_mask
 #: the numpy fast path it is differentially checked against.
 BACKENDS = ("cost_model", "vectorized")
 
-#: Engine-level selection adds ``auto``: pick per query from collected
-#: selectivity statistics (see ``QueryEngine._resolve_backend``).
+#: Engine-level selection adds ``auto``: pick per query from the query's
+#: keywords-only candidate estimate (see ``QueryEngine._resolve_backend``).
 ENGINE_BACKENDS = BACKENDS + ("auto",)
 
 

@@ -20,11 +20,11 @@ the wrapped engine's own plan — a sharded engine's
 split, merge, finish) or a plain engine's one-shard
 :class:`~repro.service.engine.EnginePlan` — and changes only the executor:
 the execute step of each shard that runs is dispatched to a worker pool,
-one thread each, with per-shard locks serializing same-shard access.
-Opening, merging, finishing and recording stay on the event-loop thread,
-sheds included.  The front end holds no fan-out logic of its own, so a
-query served here gets the same results, cost, slices and degraded flags
-as one served inline.
+one thread each.  The execute step writes nothing shared, so concurrent
+queries' calls on one shard overlap freely.  Opening, merging, finishing
+and recording stay on the event-loop thread, sheds included.  The front
+end holds no fan-out logic of its own, so a query served here gets the
+same results, cost, slices and degraded flags as one served inline.
 
 **Snapshot isolation** (:class:`AsyncDynamicIndex` over a
 :class:`~repro.core.dynamize.DynamicOrpKw`).  Writers serialize behind an
@@ -43,9 +43,8 @@ from __future__ import annotations
 
 import asyncio
 import threading
-from collections import defaultdict
 from concurrent.futures import ThreadPoolExecutor
-from typing import Any, DefaultDict, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..costmodel import CostCounter
 from ..dataset import KeywordObject
@@ -157,8 +156,8 @@ class AsyncQueryEngine:
         :class:`~repro.service.engine.EnginePlan` or a
         :class:`~repro.service.sharding.Fanout`): it opens, finishes and
         records every query on the event-loop thread and sends only the
-        execute step to the pool, one call per shard that runs, each under
-        its shard's lock (a plain engine is one shard).
+        execute step to the pool, one call per shard that runs (a plain
+        engine is one shard).
     max_inflight_cost:
         Admission-control bound on the summed budget reservations of all
         in-flight queries; ``None`` admits everything.
@@ -182,8 +181,8 @@ class AsyncQueryEngine:
     registry, where the sink counts sheds, so a serving stack has one
     registry (:attr:`metrics`).  All public methods are coroutines and must
     run on one event loop; the wrapped engine's bookkeeping (cache, records,
-    metrics) is only ever touched from that loop's thread or under
-    per-shard locks.
+    metrics) is only ever touched from that loop's thread.  The pool runs
+    only execute steps, which write nothing shared.
     """
 
     def __init__(
@@ -214,12 +213,6 @@ class AsyncQueryEngine:
         self._pool = ThreadPoolExecutor(
             max_workers=max_workers, thread_name_prefix="repro-serve"
         )
-        # One lock per shard id (a plain engine is shard 0), created on the
-        # loop thread on first use, since a rebalance may grow the shard
-        # count: an ``auto`` engine's backend rule writes its history into
-        # the shard engine's registry, so same-shard calls must never
-        # overlap.
-        self._locks: DefaultDict[int, threading.Lock] = defaultdict(threading.Lock)
 
     # -- lifecycle ---------------------------------------------------------------
 
@@ -268,14 +261,9 @@ class AsyncQueryEngine:
         try:
             plan = self._open(self.engine, rect, keywords, budget, counter)
             if plan.results is None:
-
-                def run(shard_id: int, lock: threading.Lock):
-                    with lock:
-                        return plan.run(shard_id)
-
                 loop = asyncio.get_running_loop()
                 outcomes = [
-                    loop.run_in_executor(self._pool, run, shard_id, self._locks[shard_id])
+                    loop.run_in_executor(self._pool, plan.run, shard_id)
                     for shard_id in plan.active
                 ]
                 plan.finish(await asyncio.gather(*outcomes))

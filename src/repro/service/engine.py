@@ -36,7 +36,7 @@ from ..errors import BudgetExceeded, ValidationError
 from ..geometry.rectangles import Rect
 from ..core.baselines import KeywordsOnlyIndex, StructuredOnlyIndex
 from ..core.multi_k import MultiKOrpIndex
-from ..core.planner import HybridPlanner
+from ..core.planner import STRATEGIES, HybridPlanner
 from ..telemetry.events import EventLog
 from ..telemetry.quantiles import StatsCollector
 from ..telemetry.sampler import TailSampler
@@ -62,7 +62,8 @@ class QueryRecord:
     #: Which execution backend served the query ("cost_model" or
     #: "vectorized"; for an ``auto`` engine this is the resolved choice).
     #: A fanned-out query records the sharded engine's configured backend;
-    #: each shard resolves ``auto`` on its own.
+    #: each shard resolves ``auto`` on its own, and its slice in
+    #: :attr:`shards` records the choice.
     backend: str = "cost_model"
     degraded: bool = False
     fallbacks: List[Dict[str, Any]] = field(default_factory=list)
@@ -70,8 +71,8 @@ class QueryRecord:
     estimates: Dict[str, float] = field(default_factory=dict)
     result_count: int = 0
     #: Per-shard slices of a fanned-out query (sharded serving only): each
-    #: entry is {shard_id, strategy, budget, cost, degraded}.  Empty for a
-    #: single-engine serve.
+    #: entry is {shard_id, strategy, backend, budget, cost, degraded}.
+    #: Empty for a single-engine serve.
     shards: List[Dict[str, Any]] = field(default_factory=list)
     #: Finished span tree (:meth:`~repro.trace.TraceSpan.to_dict`) when the
     #: serving engine ran with tracing enabled; ``None`` otherwise.
@@ -340,6 +341,8 @@ class ServingBase:
         """The one sink: retain a finished, cache-hit or shed record
         (``tracer``, when given, is finished into it) and derive from its
         fields the registry's counters and histograms, the
+        ``backend_<b>_total`` counter of every planned execution (the
+        record's own, or each shard slice's), the
         :class:`StatsCollector` cell (over the served corpus), the
         ``query_degraded``/``query_finish``/``query_shed`` events, the
         attached sampler's retention (``record.trace`` is dropped when it
@@ -388,6 +391,10 @@ class ServingBase:
                 metrics.counter("degraded_total").inc()
             if degraded_slices:
                 metrics.counter("degraded_slices_total").inc(degraded_slices)
+            planned = record.shards or [{"strategy": record.strategy, "backend": record.backend}]
+            for entry in planned:
+                if entry["strategy"] in STRATEGIES:
+                    metrics.counter(f"backend_{entry['backend']}_total").inc()
             for category in CATEGORIES:
                 metrics.histogram(f"cost_{category}").observe(cost.get(category, 0))
             metrics.histogram("cost_total").observe(cost["total"])
@@ -623,35 +630,23 @@ class QueryEngine(ServingBase):
 
     # -- planning ---------------------------------------------------------------
 
-    #: Below this estimated candidate count the numpy fast path's fixed
-    #: per-call overhead (array allocation, searchsorted) beats any batching
-    #: win, so ``auto`` stays on the scalar path.
+    #: Below this keywords-only candidate estimate the numpy fast path's
+    #: fixed per-call overhead (array allocation, searchsorted) eats its
+    #: batching win, so ``auto`` stays on the scalar path.  DESIGN.md §12
+    #: tabulates the measured crossover.
     AUTO_MIN_CANDIDATES = 64
 
     def _resolve_backend(self, estimates: Dict[str, float]) -> str:
-        """Pick the execution backend for one ``auto``-mode query.
-
-        The rule reads the engine's own :class:`~repro.trace.MetricsRegistry`:
-        vectorize when this query's keywords-only candidate estimate is at
-        least ``AUTO_MIN_CANDIDATES`` *and* at least half the mean estimate
-        observed so far (i.e. the query is intersection-heavy relative to
-        this engine's workload).  Deterministic given the query history.
-        """
+        """The execution backend for one query: the configured one, or for
+        an ``auto`` engine ``"vectorized"`` exactly when the query's
+        keywords-only candidate estimate is at least
+        :attr:`AUTO_MIN_CANDIDATES`.  A function of the query alone: it
+        reads and writes no engine state."""
         if self.backend != "auto":
             return self.backend
-        estimate = float(estimates.get("keywords_only", 0.0))
-        history = self.metrics.histogram("auto_candidate_estimate")
-        threshold = float(self.AUTO_MIN_CANDIDATES)
-        if history.count:
-            threshold = max(threshold, 0.5 * history.total / history.count)
-        history.observe(estimate)
-        if "selectivity" in estimates:
-            self.metrics.histogram("auto_selectivity").observe(
-                float(estimates["selectivity"])
-            )
-        choice = "vectorized" if estimate >= threshold else "cost_model"
-        self.metrics.counter(f"backend_{choice}_total").inc()
-        return choice
+        if estimates["keywords_only"] >= self.AUTO_MIN_CANDIDATES:
+            return "vectorized"
+        return "cost_model"
 
     def _run_strategy(
         self,
@@ -699,7 +694,9 @@ class QueryEngine(ServingBase):
     ) -> Outcome:
         """Prune, plan, resolve the backend, run the strategy chain and
         degrade, charging ``spent``; records nothing (the fan-out runs each
-        shard's slice through this step alone).
+        shard's slice through this step alone).  A function of the query
+        and the engine's immutable indexes: it writes no engine state, so
+        calls on one engine may overlap on worker threads.
 
         Budget bound: each strategy abandoned under budget ``B`` overshoots
         it by at most its last charge, and the one that completes spends at
@@ -776,9 +773,8 @@ class EnginePlan:
     Opening it (on the caller's thread) validates the query, counts it in
     and looks it up in the cache: a hit sets :attr:`results` and nothing
     runs.  On a miss :attr:`active` is ``[0]``; the executor calls
-    :meth:`run` for it — inline, or on a worker thread as long as no two
-    calls on one engine overlap — and hands the outcome to :meth:`finish`
-    on the opening thread.
+    :meth:`run` for it — inline, or on a worker thread — and hands the
+    outcome to :meth:`finish` on the opening thread.
     """
 
     __slots__ = (

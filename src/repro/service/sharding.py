@@ -248,8 +248,8 @@ class Fanout:
     the shards whose bounds meet the rectangle (:attr:`active`) and splits
     the budget exactly over them (:attr:`shares`, empty when unbudgeted).
     The executor then calls :meth:`run` once per active shard — inline, or
-    on worker threads as long as no two calls run the same shard at once —
-    and hands the outcomes, in any order, to :meth:`finish`.
+    on worker threads — and hands the outcomes, in any order, to
+    :meth:`finish`.
     :class:`~repro.service.engine.EnginePlan` is the one-shard form.
     """
 
@@ -312,11 +312,11 @@ class Fanout:
         The shard's engine executes (:meth:`QueryEngine._execute`) for its
         build-time dataset; objects inserted since the last rebalance live in
         the map's delta buffer and are scanned on top (fully charged);
-        tombstoned objects are filtered from the combined slice.  An
-        ``auto`` shard engine writes its backend history into its registry,
-        so same-shard calls must be serialized to run on a worker pool.
-        Each call traces into a tracer of its own
-        (tracers are single-stack); :meth:`finish` grafts it into the tree.
+        tombstoned objects are filtered from the combined slice.  The shard
+        engine's execute step writes nothing shared, so calls on one shard
+        from concurrent queries may overlap.  Each call traces into a tracer
+        of its own (tracers are single-stack); :meth:`finish` grafts it into
+        the tree.
         """
         engine = self.state.engines[shard_id]
         share = self.shares.get(shard_id)
@@ -358,7 +358,10 @@ class Fanout:
         for shard_id, shard_engine in enumerate(self.state.engines):
             if shard_id not in by_shard:
                 slices.append(
-                    dict(shard_id=shard_id, strategy="pruned", budget=0, cost=0, degraded=False)
+                    dict(
+                        shard_id=shard_id, strategy="pruned", backend="cost_model",
+                        budget=0, cost=0, degraded=False,
+                    )
                 )
                 continue
             objs, probe, outcome, engine_cost, tracer = by_shard[shard_id]
@@ -368,8 +371,8 @@ class Fanout:
             slices.append(
                 dict(
                     shard_id=shard_id, strategy=outcome.strategy,
-                    budget=self.shares.get(shard_id), cost=probe.total,
-                    degraded=outcome.degraded,
+                    backend=outcome.backend, budget=self.shares.get(shard_id),
+                    cost=probe.total, degraded=outcome.degraded,
                 )
             )
             # The shard engine's own cell: its cost and result count before
@@ -429,8 +432,8 @@ class ShardedQueryEngine(ServingBase):
             raise ValidationError(f"shards must be >= 1, got {shards}")
         # Wires the event log before the first _publish_state call below,
         # so the initial shard map's epoch_publish event is emitted too.  The
-        # backend is handed to every shard engine ("auto" resolves per shard,
-        # per query, against that shard's own metrics history).
+        # backend is handed to every shard engine ("auto" resolves per shard
+        # from that shard's estimates; each slice records the choice).
         self._init_serving(default_budget, cache_size, keep_records, tracing, events, backend)
         self.dataset = dataset
         self.num_shards = shards

@@ -77,7 +77,10 @@ class SnapshotManager:
     index:
         Any index exposing the epoch protocol: an ``epoch`` property plus a
         ``snapshot()`` method returning the current immutable epoch
-        (:class:`~repro.core.dynamize.DynamicOrpKw` is the concrete one).
+        (:class:`~repro.core.dynamize.DynamicOrpKw`, whose epochs are
+        bucket ladders, and
+        :class:`~repro.service.sharding.ShardedQueryEngine`, whose epochs
+        are published :class:`~repro.service.sharding.ShardMap` layouts).
     metrics:
         Registry receiving the gauges (``snapshot_epoch``, ``snapshot_age``)
         and the ``snapshots_pinned_total`` counter; private by default.

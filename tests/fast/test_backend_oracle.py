@@ -10,6 +10,7 @@ sets plus identical cost snapshots wherever a single index runs both paths.
 """
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -87,7 +88,8 @@ class TestValidateBackend:
 
 
 class TestKeywordsOnlyOracle:
-    """KeywordsOnlyIndex: the tightest oracle — order and cost must match."""
+    """KeywordsOnlyIndex against VectorizedBackend: the tightest oracle —
+    order and cost must match."""
 
     @pytest.mark.parametrize("workload", WORKLOADS)
     @pytest.mark.parametrize("seed", range(3))
@@ -96,7 +98,7 @@ class TestKeywordsOnlyOracle:
         span = bounding_span(dataset)
         rng = random.Random(seed + 100)
         scalar = KeywordsOnlyIndex(dataset)
-        vectorized = KeywordsOnlyIndex(dataset, backend="vectorized")
+        vectorized = VectorizedBackend(dataset)
         for _ in range(12):
             rect = random_rect(rng, span)
             words = rng.sample(range(1, 9), rng.randint(1, 3))
@@ -113,7 +115,7 @@ class TestKeywordsOnlyOracle:
         span = bounding_span(dataset)
         rng = random.Random(seed + 200)
         scalar = KeywordsOnlyIndex(dataset)
-        vectorized = KeywordsOnlyIndex(dataset, backend="vectorized")
+        vectorized = VectorizedBackend(dataset)
         for _ in range(10):
             rect = random_rect(rng, span)
             constraints = list(rect_to_halfspaces(rect.lo, rect.hi))
@@ -121,7 +123,7 @@ class TestKeywordsOnlyOracle:
             c1, c2 = CostCounter(), CostCounter()
             assert_same_answer_and_cost(
                 (scalar.query_constraints(constraints, words, c1), c1),
-                (vectorized.query_constraints(constraints, words, c2), c2),
+                (vectorized.query_halfspaces(constraints, words, c2), c2),
                 (seed, rect, words),
             )
 
@@ -131,12 +133,7 @@ class TestKeywordsOnlyOracle:
         c1, c2 = CostCounter(), CostCounter()
         assert_same_answer_and_cost(
             (KeywordsOnlyIndex(dataset).query_rect(rect, [1, 2], c1), c1),
-            (
-                KeywordsOnlyIndex(dataset, backend="vectorized").query_rect(
-                    rect, [1, 2], c2
-                ),
-                c2,
-            ),
+            (VectorizedBackend(dataset).query_rect(rect, [1, 2], c2), c2),
         )
 
     def test_absent_keyword_short_circuits_identically(self):
@@ -145,12 +142,7 @@ class TestKeywordsOnlyOracle:
         rect = Rect((0.0, 0.0), (10.0, 10.0))
         assert_same_answer_and_cost(
             (KeywordsOnlyIndex(dataset).query_rect(rect, [1, 9999], c1), c1),
-            (
-                KeywordsOnlyIndex(dataset, backend="vectorized").query_rect(
-                    rect, [1, 9999], c2
-                ),
-                c2,
-            ),
+            (VectorizedBackend(dataset).query_rect(rect, [1, 9999], c2), c2),
         )
 
     def test_single_object_dataset(self):
@@ -159,12 +151,7 @@ class TestKeywordsOnlyOracle:
             c1, c2 = CostCounter(), CostCounter()
             assert_same_answer_and_cost(
                 (KeywordsOnlyIndex(dataset).query_rect(rect, [1, 2], c1), c1),
-                (
-                    KeywordsOnlyIndex(dataset, backend="vectorized").query_rect(
-                        rect, [1, 2], c2
-                    ),
-                    c2,
-                ),
+                (VectorizedBackend(dataset).query_rect(rect, [1, 2], c2), c2),
             )
 
     def test_duplicate_keywords(self):
@@ -173,12 +160,7 @@ class TestKeywordsOnlyOracle:
         c1, c2 = CostCounter(), CostCounter()
         assert_same_answer_and_cost(
             (KeywordsOnlyIndex(dataset).query_rect(rect, [2, 2, 2], c1), c1),
-            (
-                KeywordsOnlyIndex(dataset, backend="vectorized").query_rect(
-                    rect, [2, 2, 2], c2
-                ),
-                c2,
-            ),
+            (VectorizedBackend(dataset).query_rect(rect, [2, 2, 2], c2), c2),
         )
 
     def test_zero_area_rect(self):
@@ -188,9 +170,7 @@ class TestKeywordsOnlyOracle:
         rect = Rect((1.0, 2.0), (1.0, 2.0))
         c1, c2 = CostCounter(), CostCounter()
         scalar = KeywordsOnlyIndex(dataset).query_rect(rect, [1, 2], c1)
-        vector = KeywordsOnlyIndex(dataset, backend="vectorized").query_rect(
-            rect, [1, 2], c2
-        )
+        vector = VectorizedBackend(dataset).query_rect(rect, [1, 2], c2)
         assert [o.oid for o in scalar] == [o.oid for o in vector] == [0]
         assert c1.snapshot() == c2.snapshot()
 
@@ -205,8 +185,7 @@ class TestKeywordsOnlyOracle:
         rect = Rect((0.0, 0.0), (10.0, 10.0))
         for budget in (1, 5, 50, 100000):
             outcomes = []
-            for backend in ("cost_model", "vectorized"):
-                index = KeywordsOnlyIndex(dataset, backend=backend)
+            for index in (KeywordsOnlyIndex(dataset), VectorizedBackend(dataset)):
                 counter = CostCounter(budget=budget)
                 try:
                     index.query_rect(rect, [1, 2], counter)
@@ -214,17 +193,6 @@ class TestKeywordsOnlyOracle:
                 except BudgetExceeded:
                     outcomes.append(("exceeded", None))
             assert outcomes[0] == outcomes[1], (budget, outcomes)
-
-    def test_pickle_roundtrip_drops_arrays_keeps_backend(self):
-        import pickle
-
-        index = KeywordsOnlyIndex(workload_dataset("zipf", 0), backend="vectorized")
-        rect = Rect((0.0, 0.0), (10.0, 10.0))
-        before = [o.oid for o in index.query_rect(rect, [1, 2])]
-        clone = pickle.loads(pickle.dumps(index))
-        assert clone.backend == "vectorized"
-        assert clone._fast is None  # derived state was dropped
-        assert [o.oid for o in clone.query_rect(rect, [1, 2])] == before
 
 
 class TestLcSrpOracle:
@@ -338,22 +306,29 @@ class TestEngineSweep:
             assert record.backend == "vectorized"
         assert record.to_dict()["backend"] == record.backend
 
-    def test_auto_resolves_from_metrics_history(self):
-        # auto vectorizes intersection-heavy queries (candidate estimate at
-        # least AUTO_MIN_CANDIDATES and at least half the running mean).
+    def test_auto_resolves_from_the_query_alone(self):
+        # auto vectorizes exactly the queries whose keywords-only candidate
+        # estimate is at least AUTO_MIN_CANDIDATES, whatever ran before.
         dataset = workload_dataset("zipf", 3, num_objects=400)
         engine = QueryEngine(dataset, max_k=2, cache_size=0, backend="auto")
-        rare = max(dataset.vocabulary)  # Zipf tail: tiny posting list
-        common = min(dataset.vocabulary)
+        frequency = Counter(word for obj in dataset.objects for word in obj.doc)
+        floor = QueryEngine.AUTO_MIN_CANDIDATES
+        rare = min(frequency, key=frequency.get)  # Zipf tail: tiny posting list
+        common = max(frequency, key=frequency.get)
+        mid = min((w for w in frequency if frequency[w] >= floor), key=frequency.get)
+        assert frequency[rare] < floor <= frequency[mid] < frequency[common] / 2
         rect = Rect((0.0, 0.0), (bounding_span(dataset),) * 2)
-        engine.query(Rect(rect.lo, rect.hi), [common])
-        assert engine.last_record.backend == "vectorized"
-        engine.query(Rect(rect.lo, rect.hi), [rare])
-        assert engine.last_record.backend == "cost_model"
-        snapshot = engine.stats()["metrics"]
-        assert snapshot["counters"].get("backend_vectorized_total", 0) >= 1
-        assert snapshot["counters"].get("backend_cost_model_total", 0) >= 1
-        assert "auto_candidate_estimate" in snapshot["histograms"]
+
+        def backend(word):
+            engine.query(rect, [word])
+            assert engine.last_record.estimates["keywords_only"] == frequency[word]
+            return engine.last_record.backend
+
+        assert backend(mid) == "vectorized"
+        for _ in range(20):
+            assert backend(common) == "vectorized"
+        assert backend(mid) == "vectorized"
+        assert backend(rare) == "cost_model"
 
     def test_vectorized_engine_pickle_roundtrip(self):
         import pickle

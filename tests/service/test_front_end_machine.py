@@ -1,15 +1,16 @@
 """Stateful differential over the serving front ends.
 
-A hypothesis state machine drives three pairs of twin engines through one
+A hypothesis state machine drives four pairs of twin engines through one
 stream of queries, repeated queries, inserts, deletes, rebalances and
 cache resizes: a plain :class:`QueryEngine`, and :class:`ShardedQueryEngine`
-built with 1 and with 3 shards.  In each pair the first twin serves inline
-and the second serves through an :class:`AsyncQueryEngine` on its worker
-pool.  After every query each answer must equal a brute-force scan of its
-live set, and after every step each pair's twins must hold identical
-records.  The plain pair takes no writes, so its live set is the build
-corpus.  Snapshots pinned on the sharded engines are held across later
-writes and rebalances: each must keep answering from the live set it
+built with 1 and with 3 shards, and with 3 shards on the ``auto`` backend.
+In each pair the first twin serves inline and the second serves through an
+:class:`AsyncQueryEngine` on its worker pool.  After every query each
+answer must equal a brute-force scan of its live set, and after every step
+each pair's twins must hold identical records, each slice's resolved
+backend included.  The plain pair takes no writes, so its live set is the
+build corpus.  Snapshots pinned on the sharded engines are held across
+later writes and rebalances: each must keep answering from the live set it
 pinned until it is released.
 
 The draws are adversarial where the serving paths branch: inserts outside
@@ -47,8 +48,15 @@ BUILDS = {
     "plain": lambda: QueryEngine(DATASET, max_k=MAX_K, cache_size=4),
     "s1": lambda: ShardedQueryEngine(DATASET, shards=1, max_k=MAX_K, cache_size=4),
     "s3": lambda: ShardedQueryEngine(DATASET, shards=3, max_k=MAX_K, cache_size=4),
+    "s3_auto": lambda: ShardedQueryEngine(
+        DATASET, shards=3, max_k=MAX_K, cache_size=4, backend="auto"
+    ),
 }
-SHARDED = ("s1", "s3")
+SHARDED = ("s1", "s3", "s3_auto")
+#: The engine's ``auto`` threshold, restored on teardown.  No keyword of the
+#: 40-object corpus reaches it, so each machine lowers it to 4 to make
+#: ``auto`` resolve to both backends.
+AUTO_MIN_CANDIDATES = QueryEngine.AUTO_MIN_CANDIDATES
 
 unit = st.floats(0.0, 1.0, allow_nan=False)
 wide = st.floats(-0.5, 1.5, allow_nan=False)
@@ -70,6 +78,7 @@ def _box(xs, ys):
 class FrontEndMachine(RuleBasedStateMachine):
     def __init__(self):
         super().__init__()
+        QueryEngine.AUTO_MIN_CANDIDATES = 4
         self.loop = asyncio.new_event_loop()
         #: name -> (inline twin, pooled twin, the pooled twin's front end)
         self.pairs = {}
@@ -84,6 +93,7 @@ class FrontEndMachine(RuleBasedStateMachine):
         self.pins = []
 
     def teardown(self):
+        QueryEngine.AUTO_MIN_CANDIDATES = AUTO_MIN_CANDIDATES
         for _inline, _pooled, front in self.pairs.values():
             front.close()
         self.loop.close()

@@ -3,17 +3,22 @@
 Sheds and served queries alike are recorded on the event-loop thread, so a
 shared :class:`~repro.telemetry.EventLog` (whose ``emit`` takes no lock)
 sees one writer, and the sampler and SLO monitor the front end attaches
-are live attachments of the engine that pickling drops.
+are live attachments of the engine that pickling drops.  Only execute
+steps run on the pool, and they write nothing shared, so concurrent
+queries' calls on one shard overlap.
 """
 
 import asyncio
 import pickle
+import random
 import sys
 import threading
+from collections import Counter
 
 from repro.geometry.rectangles import Rect
 from repro.service import AsyncQueryEngine, QueryEngine, ShardedQueryEngine
 from repro.telemetry import EventLog, SLOMonitor, TailSampler
+from repro.workloads import WorkloadConfig, random_rect, zipf_dataset
 
 from helpers import random_dataset
 
@@ -80,3 +85,56 @@ def test_pickling_drops_the_attached_sampler_and_slo(rng):
         clone.query(Rect((0.0, 0.0), (5.0, 5.0)), [1, 2])  # feeds nothing
         assert front.sampler.stats()["offered"] == 0
         assert front.slo.report()["observed"] == 0
+
+
+def test_same_shard_calls_overlap_on_the_pool(monkeypatch):
+    """Four workers, a tiny switch interval and 300 concurrent queries over
+    an ``auto`` S=3 engine: calls on one shard engine run at once, and the
+    records still equal an inline twin's, per-slice backend included."""
+    dataset = zipf_dataset(
+        WorkloadConfig(num_objects=1500, vocabulary=16, doc_max=4, seed=2102)
+    )
+    rng = random.Random(2103)
+    workload = [
+        (random_rect(rng, 2, side=rng.choice((0.3, 0.6, 1.0))),
+         rng.sample(range(1, 17), rng.randint(1, 3)))
+        for _ in range(300)
+    ]
+
+    def build():
+        return ShardedQueryEngine(
+            dataset, shards=3, max_k=3, cache_size=0, keep_records=1000, backend="auto"
+        )
+
+    inline, pooled = build(), build()
+    inline.batch(workload, budget=300)
+    execute = QueryEngine._execute
+    lock = threading.Lock()
+    running, peak = Counter(), Counter()
+
+    def counted(self, *args):
+        with lock:
+            running[id(self)] += 1
+            peak[id(self)] = max(peak[id(self)], running[id(self)])
+        try:
+            return execute(self, *args)
+        finally:
+            with lock:
+                running[id(self)] -= 1
+
+    monkeypatch.setattr(QueryEngine, "_execute", counted)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+
+        async def drive():
+            async with AsyncQueryEngine(pooled, max_workers=4) as front:
+                return await asyncio.wait_for(front.batch(workload, budget=300), 120)
+
+        asyncio.run(drive())
+    finally:
+        sys.setswitchinterval(interval)
+    assert max(peak.values()) >= 2
+    assert {record.query_id: record.to_dict() for record in pooled.records} == {
+        record.query_id: record.to_dict() for record in inline.records
+    }

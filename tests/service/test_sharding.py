@@ -1,9 +1,13 @@
 """Unit tests for repro.service.sharding — partitioning and fan-out serving."""
 
 import json
+import pickle
+import random
+from collections import Counter
 
 import pytest
 
+from repro.core.planner import STRATEGIES
 from repro.costmodel import CostCounter
 from repro.dataset import Dataset
 from repro.errors import ValidationError
@@ -11,6 +15,8 @@ from repro.geometry.rectangles import Rect
 from repro.persist import load_index, save_index
 from repro.service import QueryEngine, ShardedQueryEngine, partition_dataset
 from repro.service.sharding import split_budget_exact
+from repro.telemetry import render_openmetrics
+from repro.workloads import WorkloadConfig, random_rect, zipf_dataset
 
 from helpers import random_dataset
 
@@ -78,7 +84,9 @@ class TestShardedServing:
         assert len(record.shards) == 3
         assert record.cost["total"] == sum(s["cost"] for s in record.shards)
         for slice_ in record.shards:
-            assert set(slice_) == {"shard_id", "strategy", "budget", "cost", "degraded"}
+            assert set(slice_) == {
+                "shard_id", "strategy", "backend", "budget", "cost", "degraded",
+            }
 
     def test_caller_counter_receives_merged_spend_once(self, rng):
         ds = random_dataset(rng, 120)
@@ -199,6 +207,55 @@ class TestShardedServing:
         )
         assert engine.input_size == ds.total_doc_size
         assert engine.dim == 2
+
+
+def _auto_engine():
+    """An ``auto`` S=3 traced engine over 1,500 Zipf objects, where each
+    shard's frequent keywords reach AUTO_MIN_CANDIDATES and its tail
+    keywords do not, and the 60 queries (budgets None, 40 and 400; 1-3
+    keywords) to serve through it."""
+    rng = random.Random(2101)
+    dataset = zipf_dataset(
+        WorkloadConfig(num_objects=1500, vocabulary=16, doc_max=4, seed=2100)
+    )
+    engine = ShardedQueryEngine(dataset, shards=3, max_k=3, tracing=True, backend="auto")
+    queries = [
+        (
+            random_rect(rng, 2, side=rng.choice((0.2, 0.5, 1.0))),
+            rng.sample(range(1, 17), rng.randint(1, 3)),
+            rng.choice((None, 40, 400)),
+        )
+        for _ in range(60)
+    ]
+    return engine, queries
+
+
+class TestAutoBackend:
+    def test_execute_writes_no_shard_engine_state(self):
+        engine, queries = _auto_engine()
+        before = [pickle.dumps(shard) for shard in engine.shard_engines]
+        for rect, keywords, budget in queries:
+            engine.query(rect, keywords, budget=budget)
+        assert [pickle.dumps(shard) for shard in engine.shard_engines] == before
+
+    def test_slice_backends_reach_the_export(self):
+        """Each slice records the backend its shard resolved, and the sharded
+        engine's own registry counts them."""
+        engine, queries = _auto_engine()
+        for rect, keywords, budget in queries:
+            engine.query(rect, keywords, budget=budget)
+        misses = [record for record in engine.records if record.cache == "miss"]
+        assert all(record.backend == "auto" for record in misses)
+        planned = Counter(
+            entry["backend"]
+            for record in misses
+            for entry in record.shards
+            if entry["strategy"] in STRATEGIES
+        )
+        assert set(planned) == {"cost_model", "vectorized"}
+        lines = render_openmetrics(engine.metrics).splitlines()
+        for backend, count in planned.items():
+            assert f"repro_backend_{backend}_total {count}" in lines
 
 
 class TestPersistence:

@@ -1,11 +1,12 @@
 """Every serving tally is a view of the query records.
 
 Four seeded runs keep every record, hit and evict the cache, and serve
-under budgets that force fallbacks and degraded answers: a plain
-:class:`QueryEngine`; a 3-shard :class:`ShardedQueryEngine` with inserts
-inside and outside its build bounds, deletes and one rebalance; and an
-:class:`AsyncQueryEngine` over a sharded and over a plain engine, each
-with a tail sampler and an SLO monitor that sheds.  From
+under budgets that force fallbacks and degraded answers: a plain ``auto``
+:class:`QueryEngine` whose queries resolve to both backends; a 3-shard
+:class:`ShardedQueryEngine` with inserts inside and outside its build
+bounds, deletes and one rebalance; and an :class:`AsyncQueryEngine` over
+a sharded and over a plain engine, each with a tail sampler and an SLO
+monitor that sheds.  From
 ``engine.records`` alone each test recomputes one family of tallies — the
 counters the record sink updates, the cost and result-count histograms of
 the OpenMetrics export, the ``stats()`` tallies, the shed counters, every
@@ -20,6 +21,7 @@ from collections import Counter
 
 import pytest
 
+from repro.core.planner import STRATEGIES
 from repro.costmodel import CATEGORIES
 from repro.errors import BudgetExceeded
 from repro.service import AsyncQueryEngine, QueryEngine, ShardedQueryEngine
@@ -62,10 +64,13 @@ def _dataset(seed):
     )
 
 
-def _pool(rng, size=12):
+def _pool(rng, size=12, keyword_counts=(2,)):
     """A small pool of queries, so the stream repeats and the cache hits."""
     return [
-        (random_rect(rng, 2, side=rng.choice((0.3, 0.6))), rng.sample(range(1, 13), 2))
+        (
+            random_rect(rng, 2, side=rng.choice((0.3, 0.6))),
+            rng.sample(range(1, 13), rng.choice(keyword_counts)),
+        )
         for _ in range(size)
     ]
 
@@ -75,9 +80,11 @@ def _plain_run():
     events = EventLog()
     engine = QueryEngine(
         _dataset(1500), max_k=2, cache_size=CACHE_SIZE, keep_records=QUERIES,
-        events=events,
+        events=events, backend="auto",
     )
-    pool = _pool(rng)
+    # One-keyword queries on the corpus's most frequent keyword reach
+    # AUTO_MIN_CANDIDATES; every other query stays below it.
+    pool = _pool(rng, keyword_counts=(1, 2))
     for _ in range(QUERIES):
         rect, keywords = rng.choice(pool)
         engine.query(rect, keywords, budget=rng.choice(BUDGETS))
@@ -191,6 +198,17 @@ def _degraded_slices(record):
     return sum(1 for entry in record.shards if entry["degraded"])
 
 
+def _planned(record):
+    """The (strategy, backend) of each planned execution of a miss: the
+    record's own, or each shard slice's that the planner ran."""
+    entries = record.shards or [record.to_dict()]
+    return [
+        (entry["strategy"], entry["backend"])
+        for entry in entries
+        if entry["strategy"] in STRATEGIES
+    ]
+
+
 def test_runs_exercise_every_outcome(run):
     """The views only mean something if every outcome occurred."""
     engine, events = run["engine"], run["events"]
@@ -208,6 +226,9 @@ def test_runs_exercise_every_outcome(run):
         assert engine.stats()["shards"]["rebalances"] == 1
     if run["front"] is not None:
         assert any(record.strategy == "shed" for record in engine.records)
+    if engine.backend == "auto":
+        backends = {backend for record in misses for _, backend in _planned(record)}
+        assert backends == {"cost_model", "vectorized"}
 
 
 def test_sink_counters_are_record_views(run):
@@ -224,11 +245,13 @@ def test_sink_counters_are_record_views(run):
         expected["budget_exhausted_total"] += bool(record.fallbacks)
         expected["degraded_total"] += record.degraded
         expected["degraded_slices_total"] += _degraded_slices(record)
+        for _strategy, backend in _planned(record):
+            expected[f"backend_{backend}_total"] += 1
     counters = engine.metrics.snapshot()["counters"]
     names = (
         set(expected)
         | set(SINK_COUNTERS)
-        | {name for name in counters if name.startswith("strategy_")}
+        | {name for name in counters if name.startswith(("strategy_", "backend_"))}
     )
     assert {name: counters.get(name, 0) for name in names} == {
         name: expected[name] for name in names

@@ -54,7 +54,7 @@ class TestUnchargedTraversals:
         # structure probe per candidate (including tombstoned ones).
         inner = CostCounter()
         candidates = []
-        for bucket in dyn._buckets:
+        for bucket in dyn.epoch.buckets:
             if bucket is not None:
                 candidates.extend(bucket.query(rect, [1, 2], inner))
         assert len(candidates) > len(result)  # tombstones were filtered
