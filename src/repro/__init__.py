@@ -54,13 +54,11 @@ from .core.dynamize import (
     DynamicOrpKw,
     DynamicSrpKw,
     Dynamized,
-    GaugeCompactionPolicy,
 )
 from .irtree import IrTree
 from .persist import load_index, save_index
 from .service import (
     AdmissionController,
-    AsyncDynamicIndex,
     AsyncQueryEngine,
     LRUCache,
     QueryEngine,
@@ -111,7 +109,6 @@ __all__ = [
     "DynamicLcKw",
     "DynamicMultiKOrp",
     "DynamicSrpKw",
-    "GaugeCompactionPolicy",
     "IrTree",
     "MultiKOrpIndex",
     "RangeTree2D",
@@ -127,7 +124,6 @@ __all__ = [
     "ShardedQueryEngine",
     "partition_dataset",
     "AdmissionController",
-    "AsyncDynamicIndex",
     "AsyncQueryEngine",
     "Snapshot",
     "SnapshotManager",

@@ -16,11 +16,13 @@ while every pooled shard call pays a thread hand-off.  Both paths are
 asserted result-identical per query.
 
 **Mixed churn** (:func:`bench_mixed`).  Sustained concurrent read/write
-traffic over :class:`~repro.service.AsyncDynamicIndex`: one writer streams
-``insert_many``/``delete`` batches while several readers query snapshots.
-Reported: operations completed, epochs published, and the isolation check —
-every read must return a result set equal to some epoch's live set (zero
-violations is an assertion, not a statistic).
+traffic through :class:`~repro.service.AsyncQueryEngine` over a sharded
+engine: one writer coroutine inserts and deletes on the event-loop thread
+while several readers pin a snapshot and query through the front end, whose
+shard calls run on the worker pool.  Reported: operations completed, shard
+maps published, and the isolation check — every read must return exactly
+the live set of the map it pinned (zero violations is an assertion, not a
+statistic).
 """
 
 from __future__ import annotations
@@ -30,10 +32,9 @@ import random
 import time
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..dataset import Dataset
-from ..core.dynamize import DynamicOrpKw
+from ..dataset import Dataset, make_objects
 from ..geometry.rectangles import Rect
-from ..service import AsyncDynamicIndex, AsyncQueryEngine, ShardedQueryEngine
+from ..service import AsyncQueryEngine, ShardedQueryEngine, SnapshotManager
 from ..workloads.generators import WorkloadConfig, zipf_dataset
 
 __all__ = ["bench_fanout", "bench_mixed", "selective_workload", "run_serving_bench"]
@@ -127,70 +128,77 @@ def bench_mixed(
     readers: int = 4,
     seed: int = 11,
 ) -> Dict[str, Any]:
-    """Sustained mixed read/write churn over the snapshot-isolated index.
+    """Sustained mixed read/write churn through the async front end.
 
-    The writer publishes ``batches`` insert batches (deleting a sample of
-    earlier objects between batches) while ``readers`` query loops pin
-    snapshots concurrently.  Every read is checked against the epoch
-    protocol: result sets must be free of duplicates and consistent with
-    the pinned epoch's live set — an isolation violation raises.
+    One writer coroutine runs ``batches`` write batches on the event-loop
+    thread — ``batch_size`` inserts, then deletes of a sample of live
+    objects, yielding after every write — while ``readers`` query loops run
+    through an :class:`~repro.service.AsyncQueryEngine` over a
+    4-shard :class:`~repro.service.ShardedQueryEngine`.  Each read pins a
+    snapshot and opens its query in the same loop step, so both see one
+    shard map; the answer must equal the pinned map's live set and the
+    snapshot's own answer — an isolation violation raises.
     """
     rng = random.Random(seed)
-    index = DynamicOrpKw(k=2, dim=2)
     # Every object carries {1, 2}: a [1, 2] query over the full rectangle
     # reports exactly the live set, which is the isolation oracle below.
-    oids = index.insert_many(
-        [(rng.random(), rng.random()) for _ in range(num_objects)],
-        [frozenset({1, 2, rng.randint(3, 6)}) for _ in range(num_objects)],
+    dataset = Dataset(
+        make_objects(
+            [(rng.random(), rng.random()) for _ in range(num_objects)],
+            [{1, 2, rng.randint(3, 6)} for _ in range(num_objects)],
+        )
     )
-    live = set(oids)
+    engine = ShardedQueryEngine(dataset, shards=4)
+    snapshots = SnapshotManager(engine)
+    live = set(range(num_objects))
+    everything = Rect.full(2)
     reads = 0
     start = time.perf_counter()
 
-    async def writer(adi: AsyncDynamicIndex) -> None:
+    async def writer() -> None:
         for _ in range(batches):
-            new = await adi.insert_many(
-                [(rng.random(), rng.random()) for _ in range(batch_size)],
-                [frozenset({1, 2, rng.randint(3, 6)}) for _ in range(batch_size)],
-            )
-            live.update(new)
+            for _ in range(batch_size):
+                doc = {1, 2, rng.randint(3, 6)}
+                live.add(engine.insert((rng.random(), rng.random()), doc))
+                await asyncio.sleep(0)
             for oid in rng.sample(sorted(live), min(batch_size // 2, len(live))):
-                await adi.delete(oid)
+                engine.delete(oid)
                 live.discard(oid)
-            await asyncio.sleep(0)
+                await asyncio.sleep(0)
 
-    async def reader(adi: AsyncDynamicIndex, done: asyncio.Event) -> None:
+    async def reader(front: AsyncQueryEngine, done: asyncio.Event) -> None:
         nonlocal reads
         while not done.is_set():
-            snapshot = adi.pin()
-            found = snapshot.query(Rect.full(2), [1, 2])
+            snapshot = snapshots.pin()
+            found = await front.query(everything, [1, 2])
             got = [obj.oid for obj in found]
             if len(got) != len(set(got)):
-                raise AssertionError("duplicate oids in a snapshot read")
-            if set(got) != set(snapshot.live_oids()):
-                raise AssertionError("snapshot read inconsistent with its epoch")
+                raise AssertionError("duplicate oids in a read")
+            if set(got) != snapshot.live_oids():
+                raise AssertionError("read inconsistent with its pinned map")
+            if got != [obj.oid for obj in snapshot.query(everything, [1, 2])]:
+                raise AssertionError("read differs from its snapshot's answer")
+            snapshots.release(snapshot)
             reads += 1
-            await asyncio.sleep(0)
 
-    async def drive() -> int:
-        async with AsyncDynamicIndex(index) as adi:
+    async def drive() -> None:
+        async with AsyncQueryEngine(engine) as front:
             done = asyncio.Event()
             tasks = [
-                asyncio.ensure_future(reader(adi, done)) for _ in range(readers)
+                asyncio.ensure_future(reader(front, done)) for _ in range(readers)
             ]
-            await writer(adi)
+            await writer()
             done.set()
             await asyncio.gather(*tasks)
-            return adi.stats()["published_epoch"]
 
-    epoch = asyncio.run(drive())
+    asyncio.run(drive())
     elapsed = time.perf_counter() - start
     return {
         "readers": readers,
         "writes": batches,
         "reads": reads,
-        "epochs": epoch,
-        "live_objects": len(index),
+        "epochs": engine.epoch.epoch_id,
+        "live_objects": len(engine),
         "elapsed_ms": round(elapsed * 1000.0, 1),
         "violations": 0,  # a violation raises inside the readers
     }

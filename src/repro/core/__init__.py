@@ -27,7 +27,6 @@ from .dynamize import (
     DynamicLcKw,
     DynamicMultiKOrp,
     DynamicSrpKw,
-    GaugeCompactionPolicy,
 )
 
 __all__ = [
@@ -37,7 +36,6 @@ __all__ = [
     "DynamicLcKw",
     "DynamicMultiKOrp",
     "DynamicSrpKw",
-    "GaugeCompactionPolicy",
     "OrpKwIndex",
     "DimReductionOrpKw",
     "LcKwIndex",

@@ -11,10 +11,8 @@ every Table-1 family through one audited mechanism, the classic
   tuple, tombstone set, live count, maintenance-cost snapshot) lives in one
   immutable :class:`Epoch`, published with a single reference assignment, so
   readers pin a consistent view lock-free while a writer mutates;
-* **lazy tombstone deletes** with compaction driven by the published
-  ``probe_*`` gauges of a :class:`~repro.trace.MetricsRegistry` rather than
-  a hard-coded ratio (:class:`GaugeCompactionPolicy`; the default threshold
-  reproduces the classic half-dead rebuild exactly);
+* **lazy tombstone deletes** with the classic half-dead rebuild: the
+  delete that leaves half the stored objects dead repacks the live set;
 * **audited maintenance cost** — every carry-merge and compaction rebuild
   charges a dedicated :class:`~repro.costmodel.CostCounter`
   (:attr:`Dynamized.maintenance`), in the same RAM-model categories the
@@ -29,12 +27,12 @@ dynamized classes at the bottom of this module cover the five Table-1
 structures (:class:`DynamicOrpKw`, :class:`DynamicKeywordsOnly`,
 :class:`DynamicLcKw`, :class:`DynamicSrpKw`, :class:`DynamicMultiKOrp`).
 
-Concurrency contract: one writer at a time — callers serialize mutations
-(the async serving layer does this with a writer lock) — and any number of
-readers, each pinning the current epoch lock-free via
-:meth:`Dynamized.snapshot`.  A reader runs entirely against its frozen
-epoch, so it never observes a half-applied batch, an object duplicated by
-a carry merge, or a mid-rebuild empty bucket list.
+Concurrency contract: one writer at a time — callers serialize mutations,
+for instance by writing from one thread — and any number of readers, each
+pinning the current epoch lock-free by reading :attr:`Dynamized.epoch`.
+A reader runs entirely against its frozen epoch, so it never observes a
+half-applied batch, an object duplicated by a carry merge, or a
+mid-rebuild empty bucket list.
 """
 
 from __future__ import annotations
@@ -47,8 +45,9 @@ from ..dataset import Dataset, KeywordObject
 from ..errors import ValidationError
 from ..trace import MetricsRegistry, span_for
 
-#: Gauge names the writer publishes after every mutation (``probe_`` prefix
-#: mirrors :func:`repro.audit.probes.register` so engine stats surface them).
+#: Gauge names the writer publishes after every mutation into the index's
+#: :attr:`Dynamized.metrics` (``probe_`` prefix mirrors
+#: :func:`repro.audit.probes.register` so engine stats surface them).
 GAUGE_TOMBSTONE_FRACTION = "probe_dynamize_tombstone_fraction"
 GAUGE_LIVE_BUCKETS = "probe_dynamize_live_buckets"
 GAUGE_LIVE_COUNT = "probe_dynamize_live_count"
@@ -220,7 +219,7 @@ class Epoch:
         the near-linear-space audit probes fed by it) drift upward under
         delete-heavy churn even though the live set shrinks.  Families that
         can attribute per-object entries exclude dead ones; the half-dead
-        compaction policy caps the remaining dead weight at a constant
+        compaction rule caps the remaining dead weight at a constant
         factor either way.
         """
         return sum(
@@ -284,34 +283,6 @@ class BallEpoch(Epoch):
         return self.run((center, radius, keywords), counter)
 
 
-class GaugeCompactionPolicy:
-    """Compaction trigger read from published ``probe_*`` gauges.
-
-    The writer publishes the prospective tombstone fraction into its
-    :class:`~repro.trace.MetricsRegistry` before every delete decision; the
-    policy reads the gauge back and votes.  Operators can therefore retune
-    (or replace) compaction centrally through the same registry the
-    structural probes feed, instead of recompiling a hard-coded ratio.  The
-    default ``threshold=0.5`` reproduces the classic Bentley–Saxe half-dead
-    rebuild exactly.
-    """
-
-    def __init__(
-        self,
-        threshold: float = 0.5,
-        gauge: str = GAUGE_TOMBSTONE_FRACTION,
-    ):
-        if not 0.0 < threshold <= 1.0:
-            raise ValidationError(
-                f"compaction threshold must be in (0, 1], got {threshold}"
-            )
-        self.threshold = threshold
-        self.gauge = gauge
-
-    def should_compact(self, metrics: MetricsRegistry) -> bool:
-        return metrics.gauge(self.gauge).value >= self.threshold
-
-
 class Dynamized:
     """Insert/delete capability for any adapted static index.
 
@@ -321,22 +292,19 @@ class Dynamized:
         The family plug-in (build/query/space for one static index class).
     dim:
         Point dimensionality (validated on every insert).
-    metrics:
-        Registry receiving the writer's ``probe_dynamize_*`` gauges (and
-        feeding the compaction policy); private by default.
-    policy:
-        Compaction trigger; defaults to :class:`GaugeCompactionPolicy` with
-        the classic half-dead threshold.
     events:
         A :class:`~repro.telemetry.EventLog` receiving ``epoch_publish``,
         ``carry_merge``, and ``compaction`` events; ``None`` (the default)
         disables emission.  Share the serving stack's log for one total
         event order across queries and maintenance.
 
+    The writer meters its ``probe_dynamize_*`` gauges into the index's
+    own :attr:`metrics` registry after every mutation.
+
     Query time: ``O(log n)`` static queries.  Insertion: amortized
     ``O(log n)`` rebuild participations per object, every one charged to
     :attr:`maintenance`.  Concurrency: single writer, many lock-free
-    readers pinning epochs via :meth:`snapshot`.
+    readers pinning epochs via :attr:`epoch`.
     """
 
     #: The family-specific :class:`Epoch` subclass this index publishes.
@@ -346,16 +314,13 @@ class Dynamized:
         self,
         adapter: IndexAdapter,
         dim: int,
-        metrics: Optional[MetricsRegistry] = None,
-        policy: Optional[GaugeCompactionPolicy] = None,
         events=None,
     ):
         if dim < 1:
             raise ValidationError(f"dim must be >= 1, got {dim}")
         self.adapter = adapter
         self.dim = dim
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.policy = policy if policy is not None else GaugeCompactionPolicy()
+        self.metrics = MetricsRegistry()
         self._events = events
         #: Cumulative maintenance cost: every carry-merge and compaction
         #: rebuild charges here, in the standard RAM-model categories
@@ -374,15 +339,11 @@ class Dynamized:
 
     @property
     def epoch(self) -> Epoch:
-        """The currently published epoch (advances on every mutation)."""
-        return self._epoch
+        """The currently published epoch (advances on every mutation).
 
-    def snapshot(self) -> Epoch:
-        """Pin the current epoch for isolated reads.
-
-        The returned object is immutable: queries against it keep answering
-        from the pinned state no matter how many inserts, deletes, or
-        compactions are published afterwards.
+        The epoch is immutable: queries against it keep answering from the
+        pinned state no matter how many inserts, deletes, or compactions
+        are published afterwards.
         """
         return self._epoch
 
@@ -467,9 +428,9 @@ class Dynamized:
         effects on the failing path: no tombstone is recorded, no epoch is
         published, and no compaction is triggered.
 
-        Compaction is gauge-driven: the prospective tombstone fraction is
-        published to :attr:`metrics` and the :attr:`policy` reads it back to
-        vote (the default reproduces the classic half-dead rebuild).
+        The delete that leaves half the stored objects dead compacts instead
+        (the classic half-dead rebuild), so the dead fraction stays below
+        one half after every mutation.
         """
         epoch = self._epoch
         if oid not in self._objects:
@@ -477,10 +438,7 @@ class Dynamized:
         if oid in epoch.tombstones:
             raise ValidationError(f"object {oid} already deleted")
         tombstones = epoch.tombstones | {oid}
-        self.metrics.gauge(GAUGE_TOMBSTONE_FRACTION).set(
-            len(tombstones) / len(self._objects)
-        )
-        if self.policy.should_compact(self.metrics):
+        if 2 * len(tombstones) >= len(self._objects):
             self._rebuild_all(tombstones)
         else:
             self._publish(epoch.buckets, tombstones)
@@ -489,8 +447,9 @@ class Dynamized:
     def compact(self) -> None:
         """Purge tombstones and re-pack the live set now (one new epoch).
 
-        The gauge-driven policy normally decides this; ``compact()`` is the
-        operator override (e.g. before a snapshot-heavy read phase).
+        The half-dead rule in :meth:`delete` normally decides this;
+        ``compact()`` is the operator override (e.g. before a snapshot-heavy
+        read phase).
         """
         self._rebuild_all(self._epoch.tombstones)
         self._meter()
@@ -543,8 +502,8 @@ class Dynamized:
             )
 
     def _meter(self) -> None:
-        """Publish the writer's post-mutation gauges (read back by policies,
-        surfaced through engine/serving ``stats()`` like any other probe)."""
+        """Publish the writer's post-mutation gauges (surfaced through
+        ``stats()`` like any other probe)."""
         epoch = self._epoch
         total = max(len(self._objects), 1)
         self.metrics.gauge(GAUGE_TOMBSTONE_FRACTION).set(
@@ -741,10 +700,8 @@ class DynamicOrpKw(Dynamized):
 
     epoch_class = RectEpoch
 
-    def __init__(self, k: int, dim: int, metrics=None, policy=None, events=None):
-        super().__init__(
-            OrpKwAdapter(k), dim, metrics=metrics, policy=policy, events=events
-        )
+    def __init__(self, k: int, dim: int, events=None):
+        super().__init__(OrpKwAdapter(k), dim, events=events)
         self.k = k
 
     def query(
@@ -762,11 +719,8 @@ class DynamicKeywordsOnly(Dynamized):
 
     epoch_class = RectEpoch
 
-    def __init__(self, dim: int, metrics=None, policy=None, events=None):
-        super().__init__(
-            KeywordsOnlyAdapter(), dim, metrics=metrics, policy=policy,
-            events=events,
-        )
+    def __init__(self, dim: int, events=None):
+        super().__init__(KeywordsOnlyAdapter(), dim, events=events)
 
     def query(
         self,
@@ -783,10 +737,8 @@ class DynamicLcKw(Dynamized):
 
     epoch_class = HalfspaceEpoch
 
-    def __init__(self, k: int, dim: int, metrics=None, policy=None, events=None):
-        super().__init__(
-            LcKwAdapter(k), dim, metrics=metrics, policy=policy, events=events
-        )
+    def __init__(self, k: int, dim: int, events=None):
+        super().__init__(LcKwAdapter(k), dim, events=events)
         self.k = k
 
     def query(
@@ -804,10 +756,8 @@ class DynamicSrpKw(Dynamized):
 
     epoch_class = BallEpoch
 
-    def __init__(self, k: int, dim: int, metrics=None, policy=None, events=None):
-        super().__init__(
-            SrpKwAdapter(k), dim, metrics=metrics, policy=policy, events=events
-        )
+    def __init__(self, k: int, dim: int, events=None):
+        super().__init__(SrpKwAdapter(k), dim, events=events)
         self.k = k
 
     def query(
@@ -826,11 +776,8 @@ class DynamicMultiKOrp(Dynamized):
 
     epoch_class = RectEpoch
 
-    def __init__(self, dim: int, max_k: int = 4, metrics=None, policy=None, events=None):
-        super().__init__(
-            MultiKOrpAdapter(max_k), dim, metrics=metrics, policy=policy,
-            events=events,
-        )
+    def __init__(self, dim: int, max_k: int = 4, events=None):
+        super().__init__(MultiKOrpAdapter(max_k), dim, events=events)
         self.max_k = max_k
 
     def query(

@@ -21,6 +21,7 @@ from typing import List, Optional, Sequence
 from ..costmodel import CostCounter, ensure_counter
 from ..dataset import Dataset, KeywordObject, validate_query_keywords
 from ..errors import ValidationError
+from ..fast.arrays import charge_filter
 from ..geometry.halfspaces import HalfSpace
 from ..geometry.rectangles import Rect
 from ..geometry.regions import ConvexRegion, EverythingRegion
@@ -150,7 +151,7 @@ class LcKwIndex:
                 found = self._sp.query_region(region, words, counter, max_report)
                 result = []
                 if self.backend == "vectorized" and found:
-                    counter.charge("comparisons", len(found))
+                    charge_filter(counter, len(found))
                     for obj, ok in zip(found, self._batch_satisfies(found, constraints)):
                         if ok:
                             result.append(obj)
@@ -176,7 +177,7 @@ class LcKwIndex:
                     simplex, words, counter, max_report=remaining
                 )
                 if self.backend == "vectorized" and found:
-                    counter.charge("comparisons", len(found))
+                    charge_filter(counter, len(found))
                     for obj, ok in zip(found, self._batch_satisfies(found, constraints)):
                         if obj.oid not in seen and ok:
                             seen.add(obj.oid)

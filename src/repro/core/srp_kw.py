@@ -82,9 +82,9 @@ class SrpKwIndex:
             )
             result = []
             if self.backend == "vectorized" and found:
-                from ..fast import ball_mask, points_array
+                from ..fast import ball_mask, charge_filter, points_array
 
-                counter.charge("comparisons", len(found))
+                charge_filter(counter, len(found))
                 originals = [self._originals[lifted_obj.oid] for lifted_obj in found]
                 mask = ball_mask(points_array(originals), center, radius_squared)
                 for obj, ok in zip(originals, mask):

@@ -11,6 +11,7 @@ and by differential test (``tests/fast/test_backend_oracle.py``).
 from .arrays import (
     ArrayStore,
     ball_mask,
+    charge_filter,
     halfspace_mask,
     points_array,
     region_mask,
@@ -23,6 +24,7 @@ __all__ = [
     "ENGINE_BACKENDS",
     "VectorizedBackend",
     "ball_mask",
+    "charge_filter",
     "halfspace_mask",
     "points_array",
     "region_mask",

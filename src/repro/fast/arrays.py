@@ -22,15 +22,15 @@ Cost contract: charges are *batch-granularity* — one
 ``charge(category, n)`` per vectorized pass — but the per-category totals
 equal the scalar path's unit-at-a-time totals exactly (the intersection
 even reproduces the scalar path's short-circuit: a candidate eliminated by
-an earlier keyword is never charged a probe for a later one).  Under a
-budget the raise/no-raise outcome therefore coincides with the scalar
-path's; only the recorded overshoot past the budget can differ, because a
-batch charge lands whole.
+an earlier keyword is never charged a probe for a later one).  A pass that
+would cross its counter's budget charges only the scalar loop's units up
+to the crossing one, so a raised budget records the same cost snapshot on
+both paths (:meth:`ArrayStore.intersect`, :func:`charge_filter`).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -89,7 +89,9 @@ class ArrayStore:
         charge totals (one ``objects_examined`` per shortest-list entry, one
         ``structure_probes`` per membership test actually performed — a
         candidate already eliminated by an earlier keyword is never probed
-        for a later one), and the same result order (ascending oid).
+        for a later one), and the same result order (ascending oid).  When
+        the total would cross the counter's budget, only the scalar loop's
+        charges up to the crossing unit land (:meth:`_crossing_charges`).
         """
         counter = ensure_counter(counter)
         words = list(keywords)
@@ -97,15 +99,41 @@ class ArrayStore:
             return np.empty(0, dtype=np.int64)
         words.sort(key=self.frequency)
         shortest = self.postings[words[0]]
-        counter.charge("objects_examined", int(shortest.size))
         alive = np.ones(shortest.size, dtype=bool)
+        probes: List[int] = []
         for word in words[1:]:
             live = int(alive.sum())
             if live == 0:
                 break
-            counter.charge("structure_probes", live)
+            probes.append(live)
             alive &= np.isin(shortest, self.postings[word], assume_unique=True)
+        examined = int(shortest.size)
+        remaining = counter.remaining
+        if remaining is not None and examined + sum(probes) > remaining:
+            examined, probes = self._crossing_charges(shortest, words[1:], remaining + 1)
+        counter.charge("objects_examined", examined)
+        for live in probes:
+            counter.charge("structure_probes", live)
         return shortest[alive]
+
+    def _crossing_charges(
+        self, shortest: np.ndarray, rest: Sequence[int], units: int
+    ) -> Tuple[int, List[int]]:
+        """The scalar loop's first ``units`` charges, as (examines, probes).
+
+        The scalar loop charges each candidate one examine, then one probe
+        per remaining keyword until one misses.  One cumulative sum over
+        those per-candidate counts finds the candidate holding unit
+        ``units``; it is charged its examine and as many probes as fit.
+        """
+        per = np.ones(shortest.size, dtype=np.int64)
+        alive = np.ones(shortest.size, dtype=bool)
+        for word in rest:
+            per += alive
+            alive &= np.isin(shortest, self.postings[word], assume_unique=True)
+        crossing = int(np.searchsorted(np.cumsum(per), units))
+        examined = crossing + 1
+        return examined, [units - examined] if units > examined else []
 
     def rect_mask(self, oids: np.ndarray, rect: Rect) -> np.ndarray:
         """Closed containment mask over the points with the given oids.
@@ -118,6 +146,16 @@ class ArrayStore:
         lo = np.asarray(rect.lo, dtype=np.float64)
         hi = np.asarray(rect.hi, dtype=np.float64)
         return ((pts >= lo) & (pts <= hi)).all(axis=1)
+
+
+def charge_filter(counter: CostCounter, candidates: int) -> None:
+    """Charge a batched post-filter's ``comparisons``: one per candidate,
+    the scalar loop's charge.  Under a budget the pass would cross, only
+    ``remaining + 1`` land — where the scalar loop raises."""
+    remaining = counter.remaining
+    if remaining is not None:
+        candidates = min(candidates, remaining + 1)
+    counter.charge("comparisons", candidates)
 
 
 def halfspace_mask(points: np.ndarray, halfspace: HalfSpace) -> np.ndarray:

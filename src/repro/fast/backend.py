@@ -23,7 +23,7 @@ from ..errors import ValidationError
 from ..geometry.halfspaces import HalfSpace
 from ..geometry.rectangles import Rect
 from ..trace import span_for
-from .arrays import ArrayStore, region_mask
+from .arrays import ArrayStore, charge_filter, region_mask
 
 #: Executor backends: the instrumented object-at-a-time reference path and
 #: the numpy fast path it is differentially checked against.
@@ -73,7 +73,7 @@ class VectorizedBackend:
 
         One ``comparisons`` unit per intersection candidate (exactly the
         scalar post-filter's charge), batched into a single charge inside
-        the filter span.
+        the filter span (:func:`~repro.fast.arrays.charge_filter`).
         """
         counter = ensure_counter(counter)
         words = validate_nonempty_keywords(keywords)
@@ -81,7 +81,7 @@ class VectorizedBackend:
             oids = self.store.intersect(words, counter)
         with span_for(counter, "rect-filter", "fast", candidates=int(oids.size)):
             if oids.size:
-                counter.charge("comparisons", int(oids.size))
+                charge_filter(counter, int(oids.size))
                 oids = oids[self.store.rect_mask(oids, rect)]
         return [self.dataset[int(oid)] for oid in oids]
 
@@ -98,7 +98,7 @@ class VectorizedBackend:
             oids = self.store.intersect(words, counter)
         with span_for(counter, "region-filter", "fast", candidates=int(oids.size)):
             if oids.size:
-                counter.charge("comparisons", int(oids.size))
+                charge_filter(counter, int(oids.size))
                 pts = self.store.coords[self.store.rows(oids)]
                 oids = oids[region_mask(pts, halfspaces)]
         return [self.dataset[int(oid)] for oid in oids]

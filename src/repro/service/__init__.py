@@ -20,16 +20,18 @@ accounting together by hand.  This package is that layer for :mod:`repro`:
   sharding: median kd-split partitioning, one engine per shard, and one
   fan-out plan (prune shards by bounding box, split the budget exactly
   with :func:`split_budget_exact`, merge cost traces);
-* :class:`AsyncQueryEngine` / :class:`AdmissionController` — asyncio front
-  end: bounded in-flight cost with budget-machinery shedding; runs either
-  engine's own plan, opening, finishing and recording on the event loop
-  and executing on a worker pool, and meters into the engine's registry;
-* :class:`AsyncDynamicIndex` / :class:`Snapshot` / :class:`SnapshotManager`
-  — snapshot-isolated serving over the dynamized index (writers publish
-  immutable epochs, readers pin them lock-free).
+* :class:`AsyncQueryEngine` / :class:`AdmissionController` — the one
+  asyncio front end: bounded in-flight cost with budget-machinery shedding;
+  runs either engine's own plan, opening, finishing and recording on the
+  event loop and executing on a worker pool, and meters into the engine's
+  registry; writes are the engine's own ``insert``/``delete`` on the loop
+  thread;
+* :class:`Snapshot` / :class:`SnapshotManager` — snapshot-isolated reads
+  (writers publish immutable epochs, readers pin them lock-free; a pinned
+  shard map answers through the fan-out's per-shard step).
 """
 
-from .async_engine import AdmissionController, AsyncDynamicIndex, AsyncQueryEngine
+from .async_engine import AdmissionController, AsyncQueryEngine
 from .cache import LRUCache
 from .engine import QueryEngine, QueryRecord
 from .sharding import ShardedQueryEngine, partition_dataset, split_budget_exact
@@ -37,7 +39,6 @@ from .snapshots import Snapshot, SnapshotManager
 
 __all__ = [
     "AdmissionController",
-    "AsyncDynamicIndex",
     "AsyncQueryEngine",
     "LRUCache",
     "QueryEngine",

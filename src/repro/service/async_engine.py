@@ -1,4 +1,4 @@
-"""Concurrent async serving: admission control, shard fan-out, snapshots.
+"""Concurrent async serving: admission control, shard fan-out, writes.
 
 The synchronous engines serve one query at a time and assume a quiescent
 index.  This module puts an :mod:`asyncio` front end above them that makes
@@ -26,17 +26,17 @@ and recording stay on the event-loop thread, sheds included.  The front
 end holds no fan-out logic of its own, so a query served here gets the
 same results, cost, slices and degraded flags as one served inline.
 
-**Snapshot isolation** (:class:`AsyncDynamicIndex` over a
-:class:`~repro.core.dynamize.DynamicOrpKw`).  Writers serialize behind an
-:class:`asyncio.Lock` and each mutation publishes one immutable epoch;
-readers pin a :class:`~repro.service.snapshots.Snapshot` and run lock-free
-against it, so a rebuild mid-query can never surface a half-applied batch,
-a duplicated oid, or an empty bucket window.
+**Writes** go straight to the wrapped engine: ``engine.insert`` and
+``engine.delete`` called on the event-loop thread, between awaits.  A
+query pins the engine's published map when its plan opens, and the pool
+runs only that plan's execute steps against it, so a write published
+while they run changes nothing they read; every ``epoch_publish`` then
+reaches a shared event log from the same thread as every record.
 
-Everything CPU-bound runs in a shared :class:`~concurrent.futures.
-ThreadPoolExecutor`; the event loop only validates, admits, merges, and
-records.  Correctness is pinned differentially: under a quiesced writer the
-async engine returns the synchronous engines' results and records.
+Every execute step runs in a shared :class:`~concurrent.futures.
+ThreadPoolExecutor`; the event loop only validates, admits, merges, records
+and writes.  Correctness is pinned differentially: the async engine returns
+the synchronous engines' results and records.
 """
 
 from __future__ import annotations
@@ -53,10 +53,8 @@ from ..geometry.rectangles import Rect
 from ..telemetry.events import EventLog
 from ..telemetry.sampler import TailSampler
 from ..telemetry.slo import SLOMonitor, SloShed
-from ..trace import MetricsRegistry
 from .engine import EnginePlan, QueryEngine
 from .sharding import Fanout, ShardedQueryEngine
-from .snapshots import Snapshot, SnapshotManager
 
 #: Reservation charged for an unbudgeted query (cost units).  Unbudgeted
 #: queries have no a-priori work bound, so admission control needs *some*
@@ -183,6 +181,14 @@ class AsyncQueryEngine:
     run on one event loop; the wrapped engine's bookkeeping (cache, records,
     metrics) is only ever touched from that loop's thread.  The pool runs
     only execute steps, which write nothing shared.
+
+    Writes are plain ``engine.insert`` / ``engine.delete`` calls on the
+    loop thread, between awaits; they need no lock.  The pool only runs
+    ``plan.run`` against the map each plan pinned when it opened, which a
+    write never changes, and every ``epoch_publish`` then reaches a shared
+    event log on the same thread as every record.  The front end has no
+    write methods of its own: they would only forward the call, and the
+    rule is about the thread, which a method cannot enforce.
     """
 
     def __init__(
@@ -322,104 +328,3 @@ class AsyncQueryEngine:
         if self.events is not None:
             stats["events"] = self.events.stats()
         return stats
-
-
-class AsyncDynamicIndex:
-    """Single-writer/many-reader async front over a dynamic index.
-
-    Writes (:meth:`insert`, :meth:`insert_many`, :meth:`delete`) serialize
-    behind an :class:`asyncio.Lock` and run on the worker pool; each
-    publishes one immutable epoch.  Reads (:meth:`query`) pin a
-    :class:`~repro.service.snapshots.Snapshot` and run lock-free — a reader
-    admitted before a write completes serves the pre-write epoch, one
-    admitted after serves the post-write epoch, and nothing in between is
-    observable.
-    """
-
-    def __init__(
-        self,
-        index,
-        metrics: Optional[MetricsRegistry] = None,
-        max_workers: int = 4,
-        events: Optional[EventLog] = None,
-    ):
-        self.index = index
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.snapshots = SnapshotManager(index, metrics=self.metrics, events=events)
-        if events is not None and getattr(index, "_events", None) is None:
-            attach = getattr(index, "attach_events", None)
-            if attach is not None:
-                attach(events)
-        self._writer_lock = asyncio.Lock()
-        self._pool = ThreadPoolExecutor(
-            max_workers=max_workers, thread_name_prefix="repro-dyn"
-        )
-
-    async def __aenter__(self) -> "AsyncDynamicIndex":
-        return self
-
-    async def __aexit__(self, *exc) -> bool:
-        self.close()
-        return False
-
-    def close(self) -> None:
-        """Shut the worker pool down (idempotent)."""
-        self._pool.shutdown(wait=True)
-
-    def _meter(self) -> None:
-        self.metrics.gauge("published_epoch").set(self.index.epoch.epoch_id)
-        self.metrics.gauge("live_objects").set(len(self.index))
-
-    async def insert(self, point: Sequence[float], doc) -> int:
-        """Insert one object (serialized with other writers)."""
-        loop = asyncio.get_running_loop()
-        async with self._writer_lock:
-            oid = await loop.run_in_executor(
-                self._pool, self.index.insert, point, doc
-            )
-        self.metrics.counter("writes_total").inc()
-        self._meter()
-        return oid
-
-    async def insert_many(self, points, docs) -> List[int]:
-        """Bulk insert; readers see none of the batch or all of it."""
-        loop = asyncio.get_running_loop()
-        async with self._writer_lock:
-            oids = await loop.run_in_executor(
-                self._pool, self.index.insert_many, points, docs
-            )
-        self.metrics.counter("writes_total").inc()
-        self._meter()
-        return oids
-
-    async def delete(self, oid: int) -> None:
-        """Tombstone one object (may publish a rebuilt epoch)."""
-        loop = asyncio.get_running_loop()
-        async with self._writer_lock:
-            await loop.run_in_executor(self._pool, self.index.delete, oid)
-        self.metrics.counter("writes_total").inc()
-        self._meter()
-
-    async def query(
-        self,
-        rect: Rect,
-        keywords: Sequence[int],
-        counter: Optional[CostCounter] = None,
-    ) -> List[KeywordObject]:
-        """Snapshot-isolated read; never blocks on (or observes) a writer."""
-        loop = asyncio.get_running_loop()
-        snapshot = self.snapshots.pin()
-        self.metrics.counter("reads_total").inc()
-        result = await loop.run_in_executor(
-            self._pool, snapshot.query, rect, keywords, counter
-        )
-        self.snapshots.release(snapshot)
-        return result
-
-    def pin(self) -> Snapshot:
-        """Pin the current epoch synchronously (diagnostics, tests)."""
-        return self.snapshots.pin()
-
-    def stats(self) -> Dict[str, Any]:
-        """JSON-safe snapshot/staleness summary."""
-        return self.snapshots.stats()

@@ -31,7 +31,9 @@ answers stay correct and the degradation is visible in its slice.
 Degradation stays per-slice: the other shards still serve within budget.
 As with the unsharded engine, every strategy is exact, so sharding never
 changes the answer — the differential suite asserts result equality
-against the unsharded engine for every shard count.
+against the unsharded engine for every shard count.  A pinned map
+(:meth:`ShardMap.query`) answers through the same per-shard step as the
+fan-out, so a snapshot read pays each shard's indexed cost, never a scan.
 
 The merged :class:`~repro.service.engine.QueryRecord` sums per-category
 costs over the shards, tags per-shard fallbacks with their ``shard`` id,
@@ -135,15 +137,16 @@ class ShardMap:
     The shard map is the sharded engine's epoch: datasets, per-shard engines,
     pruning bounds, per-shard delta buffers (objects inserted since the last
     rebalance), and the tombstone set are frozen together, so a reader that
-    pins the map (:meth:`ShardedQueryEngine.snapshot`) keeps a consistent
+    pins the map (:attr:`ShardedQueryEngine.epoch`) keeps a consistent
     view across concurrent inserts, deletes, and rebalance cutovers.
     Mutations publish a *successor* map with one reference assignment and
     never touch a published one — the same copy-on-write discipline as
     :class:`repro.core.dynamize.Epoch`.
 
-    ``query`` answers directly from the frozen datasets and deltas (an exact
-    scan, fully charged), so a pinned :class:`~repro.service.Snapshot` can
-    keep serving reads without touching the mutable per-shard engines.
+    :meth:`run_shard` is the one read step over a map: the fan-out runs it
+    for each active shard of the map it pinned, and :meth:`query` — what a
+    pinned :class:`~repro.service.Snapshot` answers through — runs it for
+    each shard whose bounds meet the rectangle.
     """
 
     __slots__ = (
@@ -181,35 +184,91 @@ class ShardMap:
     def __len__(self) -> int:
         return self.live_count
 
+    def active(self, rect: Rect) -> List[int]:
+        """The shards whose bounds meet ``rect``, the only ones a read runs.
+
+        The published bounds grow with every insert, so a shard holding
+        objects outside its build-time box is never pruned away.
+        """
+        return [
+            shard_id
+            for shard_id, bounds in enumerate(self.bounds)
+            if bounds is not None and rect.intersects(bounds)
+        ]
+
+    def run_shard(
+        self,
+        shard_id: int,
+        rect: Rect,
+        words: Sequence[int],
+        share: Optional[int],
+        tracer: Optional[Tracer],
+    ) -> Tuple[List[KeywordObject], CostCounter, Outcome, int]:
+        """Serve one shard's slice of a validated query from this map.
+
+        The shard's engine executes (:meth:`QueryEngine._execute`) under
+        ``share`` for its build-time dataset; objects inserted since the
+        last rebalance live in the map's delta buffer and are scanned on top
+        (fully charged); tombstoned objects are filtered from the combined
+        slice.  Returns the slice's objects, the counter that paid for it
+        (traced into ``tracer``), the engine's outcome and the engine's own
+        cost.  A published map and its engines are never written, so any
+        thread may run this, for any number of queries at once.
+        """
+        engine = self.engines[shard_id]
+        probe = CostCounter()
+        probe.tracer = tracer
+        with span_for(probe, f"shard-{shard_id}", "sharding", budget=share):
+            outcome = engine._execute(rect, words, share, probe, tracer)
+            engine_cost = probe.total
+            objs = list(outcome.results)
+            delta = self.deltas[shard_id]
+            if delta:
+                required = set(words)
+                with span_for(probe, "delta-scan", "sharding", shard=shard_id):
+                    for obj in delta:
+                        probe.charge("objects_examined")
+                        probe.charge("comparisons")
+                        if rect.contains_point(obj.point) and required <= obj.doc:
+                            objs.append(obj)
+            tombstones = self.tombstones
+            if tombstones:
+                with span_for(probe, "tombstone-filter", "sharding", shard=shard_id):
+                    kept = []
+                    for obj in objs:
+                        probe.charge("structure_probes")
+                        if obj.oid not in tombstones:
+                            kept.append(obj)
+                    objs = kept
+        return objs, probe, outcome, engine_cost
+
     def query(
         self,
-        rect: Rect,
+        rect: Union[Rect, Sequence[float]],
         keywords: Sequence[int],
         counter: Optional[CostCounter] = None,
     ) -> List[KeywordObject]:
-        """Answer one rect/keywords query from this frozen map alone.
+        """Answer one query from this pinned map, as the live engine would.
 
-        Exact scan over the frozen datasets and delta buffers (tombstones
-        filtered), charged like the naive baseline: one ``objects_examined``
-        per candidate, one ``comparisons`` per geometric test.  This is the
-        snapshot read path — it never touches the mutable per-shard engines,
-        so pinned snapshots are safe under any concurrent writer activity.
+        Validated like :meth:`ShardedQueryEngine.query` (every shard engine
+        carries the engine's ``max_k`` and the corpus dimension), then
+        :meth:`run_shard`, unbudgeted, on each shard whose bounds meet the
+        rectangle: the fan-out's step, at each shard's indexed cost.  The
+        slices' spend is charged to ``counter``, so it equals what an
+        unbudgeted, uncached engine query on this map charges.  Records
+        nothing and touches no cache.
         """
+        rect, words = self.engines[0]._validate(rect, keywords)
         counter = ensure_counter(counter)
-        words = set(keywords)
-        result: List[KeywordObject] = []
-        with span_for(counter, "shardmap-scan", "sharding", epoch=self.epoch_id):
-            for shard_id, dataset in enumerate(self.datasets):
-                for objects in (dataset.objects, self.deltas[shard_id]):
-                    for obj in objects:
-                        counter.charge("objects_examined")
-                        if obj.oid in self.tombstones:
-                            continue
-                        counter.charge("comparisons")
-                        if rect.contains_point(obj.point) and words <= obj.doc:
-                            result.append(obj)
-        result.sort(key=lambda obj: obj.oid)
-        return result
+        merged: List[KeywordObject] = []
+        with span_for(counter, "pinned-read", "sharding", epoch=self.epoch_id):
+            for shard_id in self.active(rect):
+                objs, probe, _outcome, _cost = self.run_shard(
+                    shard_id, rect, words, None, counter.tracer
+                )
+                merged.extend(objs)
+                counter.merge(probe)
+        return list(_merge_results(merged))
 
     def live_oids(self) -> FrozenSet[int]:
         """The ids of every live object in this map (diagnostic)."""
@@ -289,13 +348,7 @@ class Fanout:
         self.active: List[int] = []
         self.shares: Dict[int, int] = {}
         if self.results is None:
-            # The published bounds grow with every insert, so a shard holding
-            # objects outside its build-time box is never pruned away.
-            self.active = [
-                shard_id
-                for shard_id, bounds in enumerate(state.bounds)
-                if bounds is not None and self.rect.intersects(bounds)
-            ]
+            self.active = state.active(self.rect)
             if self.budget is not None and self.active:
                 self.shares = dict(
                     zip(self.active, split_budget_exact(self.budget, len(self.active)))
@@ -307,45 +360,15 @@ class Fanout:
     def run(
         self, shard_id: int
     ) -> Tuple[int, List[KeywordObject], CostCounter, Outcome, int, Optional[Tracer]]:
-        """Execute one shard's slice of the pinned map under its share.
-
-        The shard's engine executes (:meth:`QueryEngine._execute`) for its
-        build-time dataset; objects inserted since the last rebalance live in
-        the map's delta buffer and are scanned on top (fully charged);
-        tombstoned objects are filtered from the combined slice.  The shard
-        engine's execute step writes nothing shared, so calls on one shard
-        from concurrent queries may overlap.  Each call traces into a tracer
-        of its own (tracers are single-stack); :meth:`finish` grafts it into
-        the tree.
-        """
-        engine = self.state.engines[shard_id]
-        share = self.shares.get(shard_id)
-        probe = CostCounter()
-        if self.tracer is not None:
-            probe.tracer = Tracer("fanout", "sharding")
-        with span_for(probe, f"shard-{shard_id}", "sharding", budget=share):
-            outcome = engine._execute(self.rect, self.words, share, probe, probe.tracer)
-            engine_cost = probe.total
-            objs = list(outcome.results)
-            delta = self.state.deltas[shard_id]
-            if delta:
-                required = set(self.words)
-                with span_for(probe, "delta-scan", "sharding", shard=shard_id):
-                    for obj in delta:
-                        probe.charge("objects_examined")
-                        probe.charge("comparisons")
-                        if self.rect.contains_point(obj.point) and required <= obj.doc:
-                            objs.append(obj)
-            tombstones = self.state.tombstones
-            if tombstones:
-                with span_for(probe, "tombstone-filter", "sharding", shard=shard_id):
-                    kept = []
-                    for obj in objs:
-                        probe.charge("structure_probes")
-                        if obj.oid not in tombstones:
-                            kept.append(obj)
-                    objs = kept
-        return shard_id, objs, probe, outcome, engine_cost, probe.tracer
+        """Run one active shard's slice (:meth:`ShardMap.run_shard`) of the
+        pinned map under its share.  Each call traces into a tracer of its
+        own (tracers are single-stack); :meth:`finish` grafts it into the
+        tree."""
+        tracer = Tracer("fanout", "sharding") if self.tracer is not None else None
+        objs, probe, outcome, engine_cost = self.state.run_shard(
+            shard_id, self.rect, self.words, self.shares.get(shard_id), tracer
+        )
+        return shard_id, objs, probe, outcome, engine_cost, tracer
 
     def finish(self, outcomes: Iterable[tuple]) -> Tuple[KeywordObject, ...]:
         """Merge the outcomes of :meth:`run` (observing each shard's cell) and finish."""
@@ -497,16 +520,12 @@ class ShardedQueryEngine(ServingBase):
 
     @property
     def epoch(self) -> ShardMap:
-        """The currently published shard map (advances on every mutation)."""
-        return self._state
+        """The currently published shard map (advances on every mutation).
 
-    def snapshot(self) -> ShardMap:
-        """Pin the current shard map for isolated reads.
-
-        The returned map is immutable: queries against it (directly or via a
-        :class:`~repro.service.Snapshot`) keep answering from the pinned
-        layout no matter how many inserts, deletes, or rebalances are
-        published afterwards — the snapshot-isolated cutover contract.
+        The map is immutable: queries against it (directly or via a
+        :class:`~repro.service.Snapshot`) keep answering from this layout
+        no matter how many inserts, deletes, or rebalances are published
+        afterwards — the snapshot-isolated cutover contract.
         """
         return self._state
 

@@ -1,21 +1,25 @@
 """Copy-on-write snapshots: pinned, immutable read views for serving.
 
-:class:`~repro.core.dynamize.DynamicOrpKw` publishes every mutation as a new
-immutable :class:`~repro.core.dynamize.Epoch` (buckets + tombstones swapped
-in one reference assignment).  This module is the *serving-side* face of
-that mechanism:
+An index that takes writes publishes every mutation as a new immutable
+epoch, swapped in with one reference assignment:
+:class:`~repro.core.dynamize.Dynamized` publishes bucket ladders
+(:class:`~repro.core.dynamize.Epoch`) and
+:class:`~repro.service.sharding.ShardedQueryEngine` publishes shard maps
+(:class:`~repro.service.sharding.ShardMap`).  This module is the
+*serving-side* face of that mechanism:
 
 * :class:`Snapshot` — a reader's pinned view.  Everything it answers comes
   from one epoch, so a query that runs while a writer publishes (or while a
   half-dead rebuild repacks every bucket) still sees a single consistent
   state: no partially applied batch, no duplicated object across a carry
-  merge, no mid-rebuild empty window.
+  merge, no mid-rebuild empty window.  A pinned shard map answers through
+  the fan-out's own per-shard step, at each shard's indexed cost.
 * :class:`SnapshotManager` — hands out snapshots, tracks how far behind the
-  published head each pin is (*snapshot age*, in epochs), and feeds the
-  ``MetricsRegistry`` gauges the async front end exposes.
+  published head each pin is (*snapshot age*, in epochs), and meters that
+  into the index's own registry.
 
-The concurrency contract mirrors the core index: one writer at a time (the
-async layer serializes mutations behind a lock), any number of concurrent
+The concurrency contract mirrors the core index: one writer at a time (a
+serving stack writes on its event-loop thread), any number of concurrent
 readers, each pinning lock-free.
 """
 
@@ -26,7 +30,6 @@ from typing import Any, Dict, FrozenSet, List, Optional, Sequence
 from ..costmodel import CostCounter
 from ..dataset import KeywordObject
 from ..geometry.rectangles import Rect
-from ..trace import MetricsRegistry
 
 
 class Snapshot:
@@ -75,23 +78,23 @@ class SnapshotManager:
     Parameters
     ----------
     index:
-        Any index exposing the epoch protocol: an ``epoch`` property plus a
-        ``snapshot()`` method returning the current immutable epoch
+        Any index exposing the epoch protocol: an ``epoch`` property
+        returning the current immutable epoch, and a ``metrics`` registry
         (:class:`~repro.core.dynamize.DynamicOrpKw`, whose epochs are
         bucket ladders, and
         :class:`~repro.service.sharding.ShardedQueryEngine`, whose epochs
         are published :class:`~repro.service.sharding.ShardMap` layouts).
-    metrics:
-        Registry receiving the gauges (``snapshot_epoch``, ``snapshot_age``)
-        and the ``snapshots_pinned_total`` counter; private by default.
+        The gauges (``snapshot_epoch``, ``snapshot_age``) and the
+        ``snapshots_pinned_total`` / ``snapshots_released_total`` counters
+        go into ``index.metrics``, so a serving stack keeps one registry.
     events:
         A :class:`~repro.telemetry.EventLog` receiving ``snapshot_pin`` /
         ``snapshot_release`` events; ``None`` disables emission.
     """
 
-    def __init__(self, index, metrics: Optional[MetricsRegistry] = None, events=None):
+    def __init__(self, index, events=None):
         self.index = index
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
+        self.metrics = index.metrics
         self._events = events
 
     def pin(self) -> Snapshot:
@@ -100,7 +103,7 @@ class SnapshotManager:
         Pinning is one attribute read — it never blocks a writer and a
         writer never blocks it.
         """
-        snapshot = Snapshot(self.index, self.index.snapshot())
+        snapshot = Snapshot(self.index, self.index.epoch)
         self.metrics.counter("snapshots_pinned_total").inc()
         self.metrics.gauge("snapshot_epoch").set(snapshot.epoch_id)
         self.metrics.gauge("snapshot_age").set(snapshot.age())

@@ -212,7 +212,7 @@ class TestEpochSnapshots:
         first = index.insert_many(
             [(rng.random(), rng.random()) for _ in range(10)], [{1, 2}] * 10
         )
-        pinned = index.snapshot()
+        pinned = index.epoch
         index.insert_many(
             [(rng.random(), rng.random()) for _ in range(20)], [{1, 2}] * 20
         )

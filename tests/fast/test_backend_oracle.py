@@ -175,24 +175,26 @@ class TestKeywordsOnlyOracle:
         assert c1.snapshot() == c2.snapshot()
 
     def test_budget_raise_outcome_matches(self):
-        # Cumulative totals are identical, so a budget raises on exactly the
-        # same queries.  Only the *recorded overshoot* may differ (a batch
-        # charge lands whole before the check), so totals are compared only
-        # on served queries.
+        # A budget raises on exactly the same queries, and a raised budget
+        # records the same cost snapshot on both paths: a vectorized pass
+        # that would cross it charges only the scalar loop's units up to the
+        # crossing one (examines and probes in the intersection, comparisons
+        # in the rect filter).
         from repro.errors import BudgetExceeded
 
         dataset = workload_dataset("zipf", 2)
         rect = Rect((0.0, 0.0), (10.0, 10.0))
-        for budget in (1, 5, 50, 100000):
-            outcomes = []
-            for index in (KeywordsOnlyIndex(dataset), VectorizedBackend(dataset)):
-                counter = CostCounter(budget=budget)
-                try:
-                    index.query_rect(rect, [1, 2], counter)
-                    outcomes.append(("served", counter.total))
-                except BudgetExceeded:
-                    outcomes.append(("exceeded", None))
-            assert outcomes[0] == outcomes[1], (budget, outcomes)
+        for words in ([1], [1, 2], [2, 3, 5]):
+            for budget in (1, 5, 30, 50, 100000):
+                outcomes = []
+                for index in (KeywordsOnlyIndex(dataset), VectorizedBackend(dataset)):
+                    counter = CostCounter(budget=budget)
+                    try:
+                        index.query_rect(rect, words, counter)
+                        outcomes.append(("served", counter.snapshot()))
+                    except BudgetExceeded:
+                        outcomes.append(("exceeded", counter.snapshot()))
+                assert outcomes[0] == outcomes[1], (words, budget, outcomes)
 
 
 class TestLcSrpOracle:
@@ -260,16 +262,22 @@ class TestEngineSweep:
         for _ in range(8):
             rect = random_rect(rng, span)
             words = rng.sample(range(1, 9), rng.randint(1, 3))
-            for budget in (None, 4096):
-                answers = {
-                    backend: sorted(
+            for budget in (None, 30, 4096):
+                answers, records = {}, {}
+                for backend, engine in engines.items():
+                    answers[backend] = sorted(
                         o.oid for o in engine.query(rect, words, budget=budget)
                     )
-                    for backend, engine in engines.items()
-                }
+                    records[backend] = engine.last_record
                 oracle = answers["cost_model"]
                 assert answers["vectorized"] == oracle, (workload, seed, rect, words, budget)
                 assert answers["auto"] == oracle, (workload, seed, rect, words, budget)
+                # Budget 30 abandons probes: an abandoned vectorized probe
+                # records the scalar loop's spend, so costs match too.
+                fast, twin = records["vectorized"], records["cost_model"]
+                assert (fast.cost, fast.fallbacks) == (twin.cost, twin.fallbacks), (
+                    workload, seed, rect, words, budget,
+                )
 
     @pytest.mark.parametrize("shards", [1, 3])
     def test_sharded_backends_agree(self, shards):

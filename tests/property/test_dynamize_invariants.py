@@ -12,7 +12,7 @@ import threading
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.dynamize import DynamicOrpKw, GaugeCompactionPolicy
+from repro.core.dynamize import DynamicOrpKw
 from repro.errors import ValidationError
 from repro.geometry.rectangles import Rect
 
@@ -81,7 +81,7 @@ def test_pure_inserts_follow_binary_representation(num):
 @given(ops=op_tapes, seed=st.integers(min_value=0, max_value=2**16))
 @settings(max_examples=60, deadline=None)
 def test_tombstone_fraction_bounded_and_zero_after_compaction(ops, seed):
-    """The half-dead policy keeps the dead fraction below ½ after every
+    """The half-dead rule keeps the dead fraction below ½ after every
     mutation, and an explicit compaction purges every tombstone."""
     index = DynamicOrpKw(k=2, dim=2)
     rng = random.Random(seed)
@@ -132,17 +132,6 @@ def test_epoch_ids_strictly_increase_per_mutation(ops, seed):
     assert all(b == a + 1 for a, b in zip(seen, seen[1:]))
 
 
-def test_aggressive_policy_compacts_on_first_delete():
-    """A threshold-0+ policy rebuilds immediately: any delete purges."""
-    index = DynamicOrpKw(
-        k=2, dim=2, policy=GaugeCompactionPolicy(threshold=1e-9)
-    )
-    oids = [index.insert((float(i), 0.0), {1}) for i in range(9)]
-    index.delete(oids[4])
-    assert index.epoch.tombstones == frozenset()
-    assert len(index) == 8
-
-
 def test_pinned_snapshot_consistent_across_concurrent_compaction():
     """A pinned epoch keeps answering from its frozen state while a writer
     thread churns through inserts, deletes, and forced compactions."""
@@ -153,7 +142,7 @@ def test_pinned_snapshot_consistent_across_concurrent_compaction():
         for _ in range(32)
     ]
     rect = Rect((0.0, 0.0), (10.0, 10.0))
-    pinned = index.snapshot()
+    pinned = index.epoch
     frozen = {obj.oid for obj in pinned.query(rect, [1, 2])}
     assert frozen == set(oids)
 

@@ -12,14 +12,15 @@ import pytest
 
 from repro.costmodel import CostCounter
 from repro.core.dynamize import DynamicOrpKw
+from repro.dataset import Dataset
 from repro.errors import BudgetExceeded, ValidationError
 from repro.geometry.rectangles import Rect
 from repro.service import (
     AdmissionController,
-    AsyncDynamicIndex,
     AsyncQueryEngine,
     QueryEngine,
     ShardedQueryEngine,
+    SnapshotManager,
 )
 from repro.trace import TraceSpan
 
@@ -289,45 +290,59 @@ class TestShedding:
 
 
 class TestAsyncDynamicIndex:
+    """Writes on the event-loop thread beside reads through the front end,
+    over a one-shard engine (the engine for a corpus that takes writes)."""
+
     def test_mutations_and_snapshot_reads(self, rng):
-        index = DynamicOrpKw(k=2, dim=2)
+        engine = ShardedQueryEngine(Dataset.empty(2), shards=1)
 
         async def drive():
-            async with AsyncDynamicIndex(index) as adi:
-                oids = await adi.insert_many(
-                    [(rng.random(), rng.random()) for _ in range(30)],
-                    [{1, 2} for _ in range(30)],
-                )
-                await adi.delete(oids[0])
-                extra = await adi.insert((0.5, 0.5), {1, 2})
-                found = await adi.query(Rect.full(2), [1, 2])
-                return oids, extra, found
+            async with AsyncQueryEngine(engine) as front:
+                oids = []
+                for _ in range(30):
+                    oids.append(engine.insert((rng.random(), rng.random()), {1, 2}))
+                    await asyncio.sleep(0)
+                engine.delete(oids[0])
+                await asyncio.sleep(0)
+                extra = engine.insert((0.5, 0.5), {1, 2})
+                snapshot = SnapshotManager(engine).pin()
+                found = await front.query(Rect.full(2), [1, 2])
+                return oids, extra, found, snapshot.query(Rect.full(2), [1, 2])
 
-        oids, extra, found = asyncio.run(drive())
+        oids, extra, found, pinned = asyncio.run(drive())
         got = {obj.oid for obj in found}
         assert got == (set(oids) - {oids[0]}) | {extra}
+        assert [obj.oid for obj in pinned] == sorted(got)
 
     def test_gauges_meter_epochs_and_staleness(self, rng):
-        index = DynamicOrpKw(k=2, dim=2)
+        engine = ShardedQueryEngine(Dataset.empty(2), shards=1)
+        snapshots = SnapshotManager(engine)
 
         async def drive():
-            async with AsyncDynamicIndex(index) as adi:
-                await adi.insert((0.1, 0.1), {1, 2})
-                await adi.insert((0.2, 0.2), {1, 2})
-                stale = adi.pin()
-                await adi.insert((0.3, 0.3), {1, 2})
-                await adi.query(Rect.full(2), [1, 2])
-                return stale, adi.stats(), adi.metrics.snapshot()
+            async with AsyncQueryEngine(engine) as front:
+                engine.insert((0.1, 0.1), {1, 2})
+                engine.insert((0.2, 0.2), {1, 2})
+                stale = snapshots.pin()
+                engine.insert((0.3, 0.3), {1, 2})
+                await front.query(Rect.full(2), [1, 2])
+                snapshots.observe(stale)
+                return stale, snapshots.stats(), front.stats()["metrics"]
 
         stale, stats, metrics = asyncio.run(drive())
         assert stats["published_epoch"] == 3
-        assert metrics["gauges"]["published_epoch"] == 3
-        assert metrics["gauges"]["live_objects"] == 3
-        # The gauge tracks the latest pin (fresh), but the held snapshot
-        # reports its own staleness.
+        assert stats["live_objects"] == 3
+        # One registry: the engine's shard gauges and the snapshot gauges
+        # sit side by side in what the front end exports.
+        assert metrics == stats["metrics"]
+        assert metrics["gauges"]["shard_epoch"] == 3
+        assert metrics["gauges"]["shard_live_objects"] == 3
+        # The held snapshot reports its own staleness, and observing it
+        # meters that age.
         assert stale.age() == 1
-        assert metrics["counters"]["writes_total"] == 3
-        assert metrics["counters"]["reads_total"] == 1
+        assert metrics["gauges"]["snapshot_epoch"] == 2
+        assert metrics["gauges"]["snapshot_age"] == 1
+        assert metrics["counters"]["snapshots_pinned_total"] == 1
+        assert metrics["counters"]["queries_total"] == 1
 
 
 def _run_threaded_stress(readers=4, steps=60):
@@ -366,7 +381,7 @@ def _run_threaded_stress(readers=4, steps=60):
 
     def reader(slot):
         while not done.is_set() or reads[slot] == 0:
-            snapshot = index.snapshot()
+            snapshot = index.epoch
             got = sorted(obj.oid for obj in snapshot.query(Rect.full(2), [1, 2]))
             if len(got) != len(set(got)):
                 failures.append(("duplicates", snapshot.epoch_id, got))
@@ -406,48 +421,50 @@ class TestIsolationStress:
         assert all(count > 0 for count in reads)
 
     def test_asyncio_mixed_read_write_stress(self, rng):
-        """The same oracle through AsyncDynamicIndex: writer coroutine vs
-        reader coroutines whose queries run on the worker pool."""
-        index = DynamicOrpKw(k=2, dim=2)
-        oracle = {0: frozenset()}
+        """The same oracle through AsyncQueryEngine: a writer coroutine on
+        the loop thread vs reader coroutines whose shard calls run on the
+        worker pool."""
+        engine = ShardedQueryEngine(Dataset.empty(2), shards=1, cache_size=0)
+        snapshots = SnapshotManager(engine)
+        oracle = {engine.epoch.epoch_id: frozenset()}
         live = set()
         failures = []
 
         async def drive():
-            async with AsyncDynamicIndex(index) as adi:
+            async with AsyncQueryEngine(engine, max_workers=4) as front:
                 done = asyncio.Event()
 
                 async def writer():
                     for _ in range(25):
-                        oids = await adi.insert_many(
-                            [(rng.random(), rng.random()) for _ in range(5)],
-                            [{1, 2} for _ in range(5)],
-                        )
-                        live.update(oids)
-                        oracle[index.epoch.epoch_id] = frozenset(live)
+                        for _ in range(5):
+                            live.add(engine.insert((rng.random(), rng.random()), {1, 2}))
+                            oracle[engine.epoch.epoch_id] = frozenset(live)
+                            await asyncio.sleep(0)
                         for victim in rng.sample(sorted(live), 2):
-                            await adi.delete(victim)
+                            engine.delete(victim)
                             live.discard(victim)
-                            oracle[index.epoch.epoch_id] = frozenset(live)
-                        await asyncio.sleep(0)
+                            oracle[engine.epoch.epoch_id] = frozenset(live)
+                            await asyncio.sleep(0)
                     done.set()
 
                 async def reader():
                     count = 0
                     while not done.is_set() or count == 0:
-                        snapshot = adi.pin()
-                        found = await adi.query(Rect.full(2), [1, 2])
-                        del found  # exercised the serving path; oracle below
-                        got = sorted(
+                        # Pinning and opening the query in one loop step:
+                        # both read the same published map.
+                        snapshot = snapshots.pin()
+                        found = await front.query(Rect.full(2), [1, 2])
+                        got = [obj.oid for obj in found]
+                        pinned = [
                             obj.oid
                             for obj in snapshot.query(Rect.full(2), [1, 2])
-                        )
-                        expected = oracle.get(snapshot.epoch_id)
-                        if expected is not None and set(got) != expected:
-                            failures.append((snapshot.epoch_id, got))
+                        ]
+                        expected = oracle[snapshot.epoch_id]
+                        if set(got) != expected or got != sorted(expected) or pinned != got:
+                            failures.append((snapshot.epoch_id, got, pinned))
                             break
+                        snapshots.release(snapshot)
                         count += 1
-                        await asyncio.sleep(0)
 
                 await asyncio.gather(writer(), *(reader() for _ in range(4)))
 

@@ -9,7 +9,9 @@ In each pair the first twin serves inline and the second serves through an
 answer must equal a brute-force scan of its live set, and after every step
 each pair's twins must hold identical records, each slice's resolved
 backend included.  The plain pair takes no writes, so its live set is the
-build corpus.  Snapshots pinned on the sharded engines are held across
+build corpus.  Writes run on the event-loop thread, some of them while a
+pooled query's shard calls are on the pool: that query must answer from
+the map it pinned.  Snapshots pinned on the sharded engines are held across
 later writes and rebalances: each must keep answering from the live set it
 pinned until it is released.
 
@@ -22,6 +24,7 @@ up, or none.
 """
 
 import asyncio
+from functools import partial
 
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
@@ -193,10 +196,43 @@ class FrontEndMachine(RuleBasedStateMachine):
     @precondition(lambda self: self.live)
     @rule(data=st.data())
     def delete(self, data):
-        oid = data.draw(st.sampled_from(sorted(self.live)), label="oid")
+        self._delete(data.draw(st.sampled_from(sorted(self.live)), label="oid"))
+
+    def _delete(self, oid):
         for engine in self._sharded_engines():
             engine.delete(oid)
         del self.live[oid]
+
+    @rule(data=st.data(), keywords=keyword_sets, budget=budgets, doc=docs)
+    def write_during_pooled_query(self, data, keywords, budget, doc):
+        """Open a pooled query, yield once so its shard calls are on the
+        pool, then insert or delete on the loop thread: the query answers
+        from the map it pinned, as its inline twin did before the write."""
+        name = data.draw(st.sampled_from(SHARDED), label="pair")
+        rect = data.draw(self._rects(), label="rect")
+        if self.live and data.draw(st.booleans(), label="delete"):
+            oid = data.draw(st.sampled_from(sorted(self.live)), label="oid")
+            write = partial(self._delete, oid)
+        else:
+            write = partial(self._insert, data.draw(self._points(), label="point"), doc)
+        inline, _pooled, front = self.pairs[name]
+        self.asked.append((rect, keywords, budget))
+        expected = sorted(
+            oid
+            for oid, obj in self.live.items()
+            if rect.contains_point(obj.point) and set(keywords) <= obj.doc
+        )
+        answer = inline.query(rect, keywords, budget=budget)
+
+        async def overlap():
+            pending = asyncio.ensure_future(front.query(rect, keywords, budget=budget))
+            await asyncio.sleep(0)
+            write()
+            return await pending
+
+        pooled_answer = self.loop.run_until_complete(overlap())
+        assert sorted(obj.oid for obj in answer) == expected, name
+        assert pooled_answer == answer, name
 
     @rule(name=st.sampled_from(SHARDED), shards=st.integers(1, 4))
     def rebalance(self, name, shards):

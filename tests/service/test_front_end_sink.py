@@ -16,7 +16,12 @@ import threading
 from collections import Counter
 
 from repro.geometry.rectangles import Rect
-from repro.service import AsyncQueryEngine, QueryEngine, ShardedQueryEngine
+from repro.service import (
+    AsyncQueryEngine,
+    QueryEngine,
+    ShardedQueryEngine,
+    SnapshotManager,
+)
 from repro.telemetry import EventLog, SLOMonitor, TailSampler
 from repro.workloads import WorkloadConfig, random_rect, zipf_dataset
 
@@ -138,3 +143,95 @@ def test_same_shard_calls_overlap_on_the_pool(monkeypatch):
     assert {record.query_id: record.to_dict() for record in pooled.records} == {
         record.query_id: record.to_dict() for record in inline.records
     }
+
+
+def test_loop_thread_writes_beside_pooled_queries():
+    """A writer coroutine inserts, deletes, rebalances once and pins and
+    releases snapshots on the loop thread while 300 queries run their shard
+    calls on four workers under a tiny switch interval: every event reaches
+    the shared log from the main thread, its sequence numbers stay gapless,
+    and each answer is the live set of the map its query pinned."""
+    dataset = zipf_dataset(
+        WorkloadConfig(num_objects=600, vocabulary=8, doc_max=3, seed=2201)
+    )
+    events = EventLog(capacity=100_000)
+    engine = ShardedQueryEngine(dataset, shards=3, max_k=3, keep_records=1000)
+    snapshots = SnapshotManager(engine, events=events)
+    rng = random.Random(2202)
+    workload = [
+        (random_rect(rng, 2, side=rng.choice((0.2, 0.5, 1.0))),
+         rng.sample(range(1, 9), rng.randint(1, 3)))
+        for _ in range(300)
+    ]
+    threads = []
+    emit = events.emit
+
+    def recorded(*args, **kwargs):
+        threads.append(threading.current_thread())
+        return emit(*args, **kwargs)
+
+    events.emit = recorded
+    mismatches = []
+    maps = set()
+
+    async def ask(front, rect, words, delay):
+        for _ in range(delay):  # spread the queries over the writer's maps
+            await asyncio.sleep(0)
+        pinned = engine.epoch  # the plan opens in this same loop step
+        maps.add(pinned.epoch_id)
+        found = await front.query(rect, words, budget=300)
+        live = [
+            obj
+            for shard_id, shard in enumerate(pinned.datasets)
+            for obj in (*shard.objects, *pinned.deltas[shard_id])
+            if obj.oid not in pinned.tombstones
+        ]
+        expected = sorted(
+            obj.oid
+            for obj in live
+            if rect.contains_point(obj.point) and set(words) <= obj.doc
+        )
+        if [obj.oid for obj in found] != expected:
+            mismatches.append((pinned.epoch_id, rect, words))
+
+    async def writer():
+        live = sorted(obj.oid for obj in dataset.objects)
+        for step in range(120):
+            if step == 60:
+                engine.rebalance()
+            elif step % 3 == 2:
+                engine.delete(live.pop(rng.randrange(len(live))))
+            else:
+                words = rng.sample(range(1, 9), 2)
+                live.append(engine.insert((rng.random(), rng.random()), words))
+            if step % 10 == 0:
+                snapshots.release(snapshots.pin())
+            await asyncio.sleep(0)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+
+        async def drive():
+            async with AsyncQueryEngine(engine, max_workers=4, events=events) as front:
+                await asyncio.wait_for(
+                    asyncio.gather(
+                        writer(),
+                        *(
+                            ask(front, rect, words, index // 2)
+                            for index, (rect, words) in enumerate(workload)
+                        ),
+                    ),
+                    120,
+                )
+
+        asyncio.run(drive())
+    finally:
+        sys.setswitchinterval(interval)
+    assert not mismatches, mismatches[:3]
+    assert len(maps) > 50  # queries pinned maps all through the writes
+    assert set(threads) == {threading.main_thread()}
+    assert [event.seq for event in events.events()] == list(range(1, len(events) + 1))
+    counts = events.counts()
+    assert counts["shard_rebalance"] >= 1 and counts["snapshot_pin"] == 12
+    assert counts["query_finish"] == len(workload)

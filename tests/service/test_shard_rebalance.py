@@ -11,6 +11,7 @@ import random
 
 import pytest
 
+from repro.costmodel import CostCounter
 from repro.errors import ValidationError
 from repro.geometry.rectangles import Rect
 from repro.service.async_engine import AsyncQueryEngine
@@ -162,3 +163,68 @@ class TestSnapshotCutover:
         engine.delete(victim)
         assert victim in pinned.live_oids()
         assert victim not in engine.epoch.live_oids()
+
+
+class TestPinnedReads:
+    """A pinned map answers through the fan-out's per-shard step: validated
+    like ``engine.query``, and charged exactly what an unbudgeted, uncached
+    engine query on the same map is charged."""
+
+    def test_pinned_read_validates_like_the_engine(self, rng):
+        engine = _clustered_engine(rng, shards=3)
+        pinned = SnapshotManager(engine).pin()
+        rect = Rect((0.0, 0.0), (1.0, 1.0))
+        bad = [
+            (rect, []),
+            (rect, list(range(1, engine.max_k + 2))),
+            (Rect((0.0,), (1.0,)), [1]),
+        ]
+        for query_rect, keywords in bad:
+            with pytest.raises(ValidationError):
+                engine.query(query_rect, keywords)
+            with pytest.raises(ValidationError):
+                pinned.query(query_rect, keywords)
+
+    @pytest.mark.parametrize("shards", [1, 3, 4])
+    def test_pinned_read_costs_what_the_engine_charges(self, rng, shards):
+        dataset = random_dataset(rng, 160, coord_range=1.0)
+        engine = ShardedQueryEngine(dataset, shards=shards, max_k=3, cache_size=0)
+        manager = SnapshotManager(engine)
+        queries = [
+            (
+                Rect(
+                    (rng.uniform(-0.2, 0.8), rng.uniform(-0.2, 0.8)),
+                    (rng.uniform(0.8, 1.2), rng.uniform(0.8, 1.2)),
+                ),
+                rng.sample(range(1, 9), rng.randint(1, 3)),
+            )
+            for _ in range(10)
+        ] + [(Rect((-60.0, -60.0), (60.0, 60.0)), [1]), (FAR_RECT, [1, 2])]
+
+        def check():
+            pinned = manager.pin()
+            for rect, keywords in queries:
+                read, served = CostCounter(), CostCounter()
+                got = [obj.oid for obj in pinned.query(rect, keywords, read)]
+                want = [obj.oid for obj in engine.query(rect, keywords, counter=served)]
+                assert got == want, (shards, rect, keywords)
+                assert read.snapshot() == served.snapshot(), (shards, rect, keywords)
+            return pinned
+
+        before = check()  # nothing written yet
+        for _ in range(6):  # inside the build bounds, and far outside them
+            engine.insert((rng.random(), rng.random()), rng.sample(range(1, 9), 2))
+            engine.insert((rng.uniform(49.0, 51.0), rng.uniform(49.0, 51.0)), [1, 2])
+        check()
+        for oid in sorted(engine.epoch.live_oids())[::9]:
+            engine.delete(oid)
+        check()
+        engine.rebalance()
+        check()
+        # The first pin still answers from the unwritten map.
+        for rect, keywords in queries:
+            assert [obj.oid for obj in before.query(rect, keywords)] == sorted(
+                obj.oid
+                for obj in dataset.objects
+                if rect.contains_point(obj.point) and set(keywords) <= obj.doc
+            )
