@@ -1046,10 +1046,7 @@ _PARITY_FAMILIES: Tuple[Tuple[str, _ParitySide, _ParitySide], ...] = (
         ),
         _ParitySide(
             "vectorized (fast path)",
-            (
-                ("fast/backend.py", "VectorizedBackend.query_rect"),
-                ("fast/backend.py", "VectorizedBackend.query_halfspaces"),
-            ),
+            (("fast/backend.py", "VectorizedBackend.query_rect"),),
             re.compile(r"(^|/)fast/(arrays|backend)\.py$"),
         ),
     ),

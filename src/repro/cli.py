@@ -71,6 +71,7 @@ from typing import List
 from .costmodel import CostCounter
 from .dataset import Dataset, RectangleObject, make_objects
 from .errors import ReproError, ValidationError
+from .fast import BACKENDS
 from .geometry.rectangles import Rect
 from .core.lc_kw import LcKwIndex
 from .core.nn_linf import LinfNnIndex
@@ -721,7 +722,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_build.add_argument(
         "--backend",
-        choices=("cost_model", "vectorized", "auto"),
+        choices=BACKENDS,
         default="cost_model",
         help="execution backend (engine/sharded kinds only)",
     )

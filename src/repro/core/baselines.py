@@ -92,8 +92,8 @@ class KeywordsOnlyIndex:
 
     The scalar path and the correctness oracle of the numpy
     :class:`~repro.fast.VectorizedBackend`, which serves the same rectangle
-    and halfspace-conjunction queries with identical results and charged
-    cost totals (``tests/fast/test_backend_oracle.py``).
+    queries with identical results and charged cost totals
+    (``tests/fast/test_backend_oracle.py``).
     """
 
     def __init__(self, dataset: Dataset, inverted: Optional[InvertedIndex] = None):

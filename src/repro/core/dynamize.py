@@ -18,7 +18,9 @@ every Table-1 family through one audited mechanism, the classic
   (:attr:`Dynamized.maintenance`), in the same RAM-model categories the
   query path uses, and each epoch carries a snapshot of the cumulative
   total, so amortized update cost is fitted and gated by the audit
-  subsystem exactly like query cost (the ``CHURN`` scorecard row).
+  subsystem exactly like query cost (the ``CHURN`` scorecard row).  That
+  counter and the published epochs are the ladder's whole record: it emits
+  no events and meters no gauges.
 
 A family plugs in through an :class:`IndexAdapter`: how to build a static
 sub-index over a bucket's objects, how to run one family-specific query
@@ -43,15 +45,7 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 from ..costmodel import CostCounter, ensure_counter
 from ..dataset import Dataset, KeywordObject
 from ..errors import ValidationError
-from ..trace import MetricsRegistry, span_for
-
-#: Gauge names the writer publishes after every mutation into the index's
-#: :attr:`Dynamized.metrics` (``probe_`` prefix mirrors
-#: :func:`repro.audit.probes.register` so engine stats surface them).
-GAUGE_TOMBSTONE_FRACTION = "probe_dynamize_tombstone_fraction"
-GAUGE_LIVE_BUCKETS = "probe_dynamize_live_buckets"
-GAUGE_LIVE_COUNT = "probe_dynamize_live_count"
-GAUGE_MAINTENANCE_TOTAL = "probe_dynamize_maintenance_total"
+from ..trace import span_for
 
 
 class IndexAdapter:
@@ -292,14 +286,10 @@ class Dynamized:
         The family plug-in (build/query/space for one static index class).
     dim:
         Point dimensionality (validated on every insert).
-    events:
-        A :class:`~repro.telemetry.EventLog` receiving ``epoch_publish``,
-        ``carry_merge``, and ``compaction`` events; ``None`` (the default)
-        disables emission.  Share the serving stack's log for one total
-        event order across queries and maintenance.
 
-    The writer meters its ``probe_dynamize_*`` gauges into the index's
-    own :attr:`metrics` registry after every mutation.
+    The index carries no telemetry of its own: its audited record is
+    :attr:`maintenance`, snapshotted into every published :class:`Epoch`,
+    and the epoch itself (live count, tombstones, bucket sizes).
 
     Query time: ``O(log n)`` static queries.  Insertion: amortized
     ``O(log n)`` rebuild participations per object, every one charged to
@@ -310,18 +300,11 @@ class Dynamized:
     #: The family-specific :class:`Epoch` subclass this index publishes.
     epoch_class = RectEpoch
 
-    def __init__(
-        self,
-        adapter: IndexAdapter,
-        dim: int,
-        events=None,
-    ):
+    def __init__(self, adapter: IndexAdapter, dim: int):
         if dim < 1:
             raise ValidationError(f"dim must be >= 1, got {dim}")
         self.adapter = adapter
         self.dim = dim
-        self.metrics = MetricsRegistry()
-        self._events = events
         #: Cumulative maintenance cost: every carry-merge and compaction
         #: rebuild charges here, in the standard RAM-model categories
         #: (``objects_examined`` per rebuild participation, ``nodes_visited``
@@ -346,10 +329,6 @@ class Dynamized:
         are published afterwards.
         """
         return self._epoch
-
-    def attach_events(self, events) -> None:
-        """Attach (or detach with ``None``) a telemetry event log."""
-        self._events = events
 
     # -- updates ---------------------------------------------------------------
 
@@ -389,7 +368,6 @@ class Dynamized:
         self._next_oid += 1
         self._objects[oid] = obj
         self._publish(buckets, epoch.tombstones)
-        self._meter()
         return oid
 
     def insert_many(self, points, docs) -> List[int]:
@@ -417,7 +395,6 @@ class Dynamized:
             for obj in batch:
                 self._objects[obj.oid] = obj
             self._publish(buckets, epoch.tombstones)
-            self._meter()
         return oids
 
     def delete(self, oid: int) -> None:
@@ -442,7 +419,6 @@ class Dynamized:
             self._rebuild_all(tombstones)
         else:
             self._publish(epoch.buckets, tombstones)
-        self._meter()
 
     def compact(self) -> None:
         """Purge tombstones and re-pack the live set now (one new epoch).
@@ -452,7 +428,6 @@ class Dynamized:
         read phase).
         """
         self._rebuild_all(self._epoch.tombstones)
-        self._meter()
 
     def _rebuild_all(self, tombstones: FrozenSet[int]) -> None:
         """Purge ``tombstones`` and re-pack the live objects into fresh buckets.
@@ -466,13 +441,6 @@ class Dynamized:
             obj for oid, obj in self._objects.items() if oid not in tombstones
         ]
         self._objects = {obj.oid: obj for obj in live}
-        if self._events is not None:
-            self._events.emit(
-                "compaction",
-                family=self.adapter.name,
-                purged=len(tombstones),
-                live=len(live),
-            )
         buckets: Tuple[Optional[_Bucket], ...] = ()
         if live:
             buckets = self._merged((), live)
@@ -491,29 +459,6 @@ class Dynamized:
             len(self._objects) - len(tombstones),
             self.maintenance.snapshot(),
         )
-        if self._events is not None:
-            epoch = self._epoch
-            self._events.emit(
-                "epoch_publish",
-                epoch=epoch.epoch_id,
-                live=epoch.live_count,
-                tombstones=len(epoch.tombstones),
-                buckets=sum(1 for b in epoch.buckets if b is not None),
-            )
-
-    def _meter(self) -> None:
-        """Publish the writer's post-mutation gauges (surfaced through
-        ``stats()`` like any other probe)."""
-        epoch = self._epoch
-        total = max(len(self._objects), 1)
-        self.metrics.gauge(GAUGE_TOMBSTONE_FRACTION).set(
-            len(epoch.tombstones) / total
-        )
-        self.metrics.gauge(GAUGE_LIVE_BUCKETS).set(
-            sum(1 for bucket in epoch.buckets if bucket is not None)
-        )
-        self.metrics.gauge(GAUGE_LIVE_COUNT).set(epoch.live_count)
-        self.metrics.gauge(GAUGE_MAINTENANCE_TOTAL).set(self.maintenance.total)
 
     # -- maintenance ------------------------------------------------------------
 
@@ -530,8 +475,7 @@ class Dynamized:
         sub-index builds.
         """
         counter = self.maintenance
-        incoming = len(carry)
-        with span_for(counter, "carry-merge", "dynamize", carry=incoming):
+        with span_for(counter, "carry-merge", "dynamize", carry=len(carry)):
             new: List[Optional[_Bucket]] = list(buckets)
             level = 0
             while True:
@@ -540,14 +484,6 @@ class Dynamized:
                 bucket = new[level]
                 if bucket is None and len(carry) <= (1 << level):
                     new[level] = self._build_bucket(carry)
-                    if self._events is not None:
-                        self._events.emit(
-                            "carry_merge",
-                            family=self.adapter.name,
-                            carry=incoming,
-                            merged=len(carry),
-                            level=level,
-                        )
                     return tuple(new)
                 if bucket is not None:
                     carry = carry + bucket.objects
@@ -700,8 +636,8 @@ class DynamicOrpKw(Dynamized):
 
     epoch_class = RectEpoch
 
-    def __init__(self, k: int, dim: int, events=None):
-        super().__init__(OrpKwAdapter(k), dim, events=events)
+    def __init__(self, k: int, dim: int):
+        super().__init__(OrpKwAdapter(k), dim)
         self.k = k
 
     def query(
@@ -719,8 +655,8 @@ class DynamicKeywordsOnly(Dynamized):
 
     epoch_class = RectEpoch
 
-    def __init__(self, dim: int, events=None):
-        super().__init__(KeywordsOnlyAdapter(), dim, events=events)
+    def __init__(self, dim: int):
+        super().__init__(KeywordsOnlyAdapter(), dim)
 
     def query(
         self,
@@ -737,8 +673,8 @@ class DynamicLcKw(Dynamized):
 
     epoch_class = HalfspaceEpoch
 
-    def __init__(self, k: int, dim: int, events=None):
-        super().__init__(LcKwAdapter(k), dim, events=events)
+    def __init__(self, k: int, dim: int):
+        super().__init__(LcKwAdapter(k), dim)
         self.k = k
 
     def query(
@@ -756,8 +692,8 @@ class DynamicSrpKw(Dynamized):
 
     epoch_class = BallEpoch
 
-    def __init__(self, k: int, dim: int, events=None):
-        super().__init__(SrpKwAdapter(k), dim, events=events)
+    def __init__(self, k: int, dim: int):
+        super().__init__(SrpKwAdapter(k), dim)
         self.k = k
 
     def query(
@@ -776,8 +712,8 @@ class DynamicMultiKOrp(Dynamized):
 
     epoch_class = RectEpoch
 
-    def __init__(self, dim: int, max_k: int = 4, events=None):
-        super().__init__(MultiKOrpAdapter(max_k), dim, events=events)
+    def __init__(self, dim: int, max_k: int = 4):
+        super().__init__(MultiKOrpAdapter(max_k), dim)
         self.max_k = max_k
 
     def query(

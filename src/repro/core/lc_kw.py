@@ -21,12 +21,11 @@ from typing import List, Optional, Sequence
 from ..costmodel import CostCounter, ensure_counter
 from ..dataset import Dataset, KeywordObject, validate_query_keywords
 from ..errors import ValidationError
-from ..fast.arrays import charge_filter
 from ..geometry.halfspaces import HalfSpace
 from ..geometry.rectangles import Rect
 from ..geometry.regions import ConvexRegion, EverythingRegion
 from ..geometry.simplex import Simplex
-from ..geometry.triangulate import decompose_polytope
+from ..geometry.triangulate import triangulate_vertices
 from ..geometry.polytope import polytope_from_constraints
 from ..partitiontree import ConvexCell, PartitionTree, WillardScheme
 from ..trace import span_for
@@ -108,20 +107,15 @@ class LcKwIndex:
 
     A thin driver over :class:`SpKwIndex`: clip the constraint polyhedron to
     an enclosing data box, triangulate, query each simplex, deduplicate (the
-    simplices share facets), and apply the exact constraint filter.
+    simplices share facets), and apply the exact constraint filter — one
+    scalar loop charging one ``comparisons`` unit per candidate.
     """
 
-    def __init__(self, dataset: Dataset, k: int, scheme=None, backend: str = "cost_model"):
-        from ..fast import validate_backend
-
+    def __init__(self, dataset: Dataset, k: int, scheme=None):
         self._sp = SpKwIndex(dataset, k, scheme=scheme)
         self.dataset = dataset
         self.k = k
         self.dim = dataset.dim
-        #: ``"vectorized"`` batches the exact constraint post-filter
-        #: (:func:`repro.fast.region_mask`): same predicate term order, same
-        #: per-candidate ``comparisons`` charge, identical results.
-        self.backend = validate_backend(backend)
 
     def query(
         self,
@@ -139,9 +133,20 @@ class LcKwIndex:
                     f"{self.dim}-dimensional"
                 )
         counter = ensure_counter(counter)
-        if len(constraints) <= 1:
+        simplices = []
+        if len(constraints) > 1:
+            vertices = polytope_from_constraints(
+                constraints, self._sp.data_lo, self._sp.data_hi
+            ).enumerate_vertices()
+            if not vertices:
+                return []  # no feasible point near the data
+            simplices = triangulate_vertices(vertices, self.dim)
+        if not simplices:
             # A single halfspace (or no constraint at all) is already a
-            # convex query region; no decomposition needed.
+            # convex query region; no decomposition needed.  So is a
+            # feasible region without a full-dimensional simplex (a
+            # zero-width rectangle through data points, say): it may still
+            # hold data, which no simplex would reach.
             region = (
                 ConvexRegion(constraints)
                 if constraints
@@ -150,22 +155,12 @@ class LcKwIndex:
             with span_for(counter, "region", "lc_kw"):
                 found = self._sp.query_region(region, words, counter, max_report)
                 result = []
-                if self.backend == "vectorized" and found:
-                    charge_filter(counter, len(found))
-                    for obj, ok in zip(found, self._batch_satisfies(found, constraints)):
-                        if ok:
-                            result.append(obj)
-                else:
-                    for obj in found:
-                        counter.charge("comparisons")
-                        if self._satisfies(obj, constraints):
-                            result.append(obj)
+                for obj in found:
+                    counter.charge("comparisons")
+                    if self._satisfies(obj, constraints):
+                        result.append(obj)
             return result
 
-        polytope = polytope_from_constraints(
-            constraints, self._sp.data_lo, self._sp.data_hi
-        )
-        simplices = decompose_polytope(polytope)
         seen = set()
         result: List[KeywordObject] = []
         for index, simplex in enumerate(simplices):
@@ -176,18 +171,11 @@ class LcKwIndex:
                 found = self._sp.query_simplex(
                     simplex, words, counter, max_report=remaining
                 )
-                if self.backend == "vectorized" and found:
-                    charge_filter(counter, len(found))
-                    for obj, ok in zip(found, self._batch_satisfies(found, constraints)):
-                        if obj.oid not in seen and ok:
-                            seen.add(obj.oid)
-                            result.append(obj)
-                else:
-                    for obj in found:
-                        counter.charge("comparisons")
-                        if obj.oid not in seen and self._satisfies(obj, constraints):
-                            seen.add(obj.oid)
-                            result.append(obj)
+                for obj in found:
+                    counter.charge("comparisons")
+                    if obj.oid not in seen and self._satisfies(obj, constraints):
+                        seen.add(obj.oid)
+                        result.append(obj)
         return result
 
     def is_empty(
@@ -215,13 +203,6 @@ class LcKwIndex:
     @staticmethod
     def _satisfies(obj: KeywordObject, constraints: Sequence[HalfSpace]) -> bool:
         return all(h.contains(obj.point) for h in constraints)
-
-    @staticmethod
-    def _batch_satisfies(found: Sequence[KeywordObject], constraints):
-        """Vectorized :meth:`_satisfies` over a candidate list (bool mask)."""
-        from ..fast import points_array, region_mask
-
-        return region_mask(points_array(found), constraints)
 
     @property
     def input_size(self) -> int:

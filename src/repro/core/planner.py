@@ -38,6 +38,10 @@ from .orp_kw import OrpKwIndex
 
 STRATEGIES = ("fused", "keywords_only", "structured_only")
 
+#: Points in the fixed selectivity sample (drawn once per planner with a
+#: ``random.Random(0)``, so every planner over one corpus samples alike).
+SAMPLE_SIZE = 256
+
 
 class HybridPlanner:
     """Cost-based routing between the three §1 strategies.
@@ -46,15 +50,14 @@ class HybridPlanner:
     strategy chain and the estimates it was ordered by, and keeps nothing
     between calls.  :meth:`query` is the race (fused index first, under the
     best naive estimate as its budget), which records its choice in
-    :attr:`last_plan`.
+    :attr:`last_plan`.  Rectangle selectivity is estimated on
+    :data:`SAMPLE_SIZE` points drawn with seed 0.
     """
 
     def __init__(
         self,
         dataset: Dataset,
         k: int,
-        sample_size: int = 256,
-        seed: int = 0,
         fused_index: Optional[Union[OrpKwIndex, MultiKOrpIndex]] = None,
         inverted: Optional[InvertedIndex] = None,
         structured: Optional[StructuredOnlyIndex] = None,
@@ -68,8 +71,6 @@ class HybridPlanner:
         its one planner plans every keyword count; without one the planner
         builds a Theorem-1 index for exactly ``k`` keywords.
         """
-        if sample_size < 1:
-            raise ValidationError("sample_size must be >= 1")
         self.dataset = dataset
         # The fused index cannot be built over zero objects; an empty dataset
         # gets a fused-less planner whose every strategy reports nothing.
@@ -86,10 +87,9 @@ class HybridPlanner:
             keywords_index if keywords_index is not None else KeywordsOnlyIndex(dataset)
         )
         self._inverted = inverted if inverted is not None else InvertedIndex(dataset)
-        rng = random.Random(seed)
         population = [obj.point for obj in dataset.objects]
-        count = min(sample_size, len(population))
-        self._sample = rng.sample(population, count)
+        count = min(SAMPLE_SIZE, len(population))
+        self._sample = random.Random(0).sample(population, count)
         self.last_plan: Optional[Dict[str, float]] = None
 
     # -- estimation -----------------------------------------------------------

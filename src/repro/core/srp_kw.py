@@ -22,11 +22,13 @@ from .lc_kw import SpKwIndex
 
 
 class SrpKwIndex:
-    """The Corollary-6 index for spherical range reporting with keywords."""
+    """The Corollary-6 index for spherical range reporting with keywords.
 
-    def __init__(self, dataset: Dataset, k: int, scheme=None, backend: str = "cost_model"):
-        from ..fast import validate_backend
+    The exact distance post-filter is one scalar loop charging one
+    ``comparisons`` unit per lifted candidate.
+    """
 
+    def __init__(self, dataset: Dataset, k: int, scheme=None):
         self.dataset = dataset
         self.k = k
         self.dim = dataset.dim
@@ -36,10 +38,6 @@ class SrpKwIndex:
         ]
         self._originals = {obj.oid: obj for obj in dataset.objects}
         self._sp = SpKwIndex(Dataset(lifted), k, scheme=scheme)
-        #: ``"vectorized"`` batches the exact distance post-filter
-        #: (:func:`repro.fast.ball_mask`): same axis-order accumulation and
-        #: tolerance as the scalar loop, identical results.
-        self.backend = validate_backend(backend)
 
     def query(
         self,
@@ -81,22 +79,12 @@ class SrpKwIndex:
                 ConvexRegion([halfspace]), words, counter, max_report
             )
             result = []
-            if self.backend == "vectorized" and found:
-                from ..fast import ball_mask, charge_filter, points_array
-
-                charge_filter(counter, len(found))
-                originals = [self._originals[lifted_obj.oid] for lifted_obj in found]
-                mask = ball_mask(points_array(originals), center, radius_squared)
-                for obj, ok in zip(originals, mask):
-                    if ok:
-                        result.append(obj)
-            else:
-                for lifted_obj in found:
-                    counter.charge("comparisons")
-                    obj = self._originals[lifted_obj.oid]
-                    dist_sq = sum((a - b) ** 2 for a, b in zip(obj.point, center))
-                    if dist_sq <= radius_squared + 1e-9 * max(1.0, radius_squared):
-                        result.append(obj)
+            for lifted_obj in found:
+                counter.charge("comparisons")
+                obj = self._originals[lifted_obj.oid]
+                dist_sq = sum((a - b) ** 2 for a, b in zip(obj.point, center))
+                if dist_sq <= radius_squared + 1e-9 * max(1.0, radius_squared):
+                    result.append(obj)
         return result
 
     def is_empty(

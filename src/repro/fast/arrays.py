@@ -1,22 +1,15 @@
 """Contiguous-array data layout for the vectorized execution backend.
 
 The cost-model implementations walk Python objects one at a time; this
-module lays the same data out as numpy arrays so the hot loops — posting
--list intersection, rectangle containment, halfspace and ball post-filters —
-run as a handful of vectorized passes.
+module lays the same data out as numpy arrays so the keywords-only
+strategy's hot loops — posting-list intersection and rectangle
+containment — run as a handful of vectorized passes.
 
 Correctness contract (the oracle contract, DESIGN.md section 12): every
 predicate here mirrors its scalar counterpart *operation for operation*, so
-a vectorized query returns the byte-identical result set:
-
-* rectangle containment is the same closed ``lo <= p <= hi`` corner
-  comparison as :meth:`~repro.geometry.rectangles.Rect.contains_point`;
-* halfspace membership accumulates the dot product term by term in axis
-  order (matching ``sum(c * x for ...)``'s left-to-right rounding) and uses
-  the same relative-tolerance scale as
-  :meth:`~repro.geometry.halfspaces.HalfSpace.contains`;
-* the ball filter accumulates squared per-axis differences in axis order
-  and applies SRP-KW's exact ``1e-9 * max(1.0, r^2)`` tolerance.
+a vectorized query returns the byte-identical result set.  Rectangle
+containment is the same closed ``lo <= p <= hi`` corner comparison as
+:meth:`~repro.geometry.rectangles.Rect.contains_point`.
 
 Cost contract: charges are *batch-granularity* — one
 ``charge(category, n)`` per vectorized pass — but the per-category totals
@@ -36,7 +29,6 @@ import numpy as np
 
 from ..costmodel import CostCounter, ensure_counter
 from ..dataset import Dataset
-from ..geometry.halfspaces import EPS, HalfSpace
 from ..geometry.rectangles import Rect
 
 
@@ -156,58 +148,3 @@ def charge_filter(counter: CostCounter, candidates: int) -> None:
     if remaining is not None:
         candidates = min(candidates, remaining + 1)
     counter.charge("comparisons", candidates)
-
-
-def halfspace_mask(points: np.ndarray, halfspace: HalfSpace) -> np.ndarray:
-    """Batched :meth:`HalfSpace.contains` over an ``(n, d)`` point block.
-
-    The dot product and the tolerance scale are accumulated axis by axis in
-    the same order as the scalar genexp sums, so every boundary-adjacent
-    point classifies identically.
-    """
-    n = points.shape[0]
-    values = np.zeros(n, dtype=np.float64)
-    scale = np.zeros(n, dtype=np.float64)
-    for axis, coeff in enumerate(halfspace.coeffs):
-        term = coeff * points[:, axis]
-        values += term
-        np.maximum(scale, np.abs(term), out=scale)
-    np.maximum(scale, max(abs(halfspace.bound), 1.0), out=scale)
-    return values <= halfspace.bound + EPS * scale
-
-
-def region_mask(
-    points: np.ndarray, halfspaces: Sequence[HalfSpace]
-) -> np.ndarray:
-    """Conjunction of :func:`halfspace_mask` over all constraints.
-
-    An empty constraint list keeps every point (matching the scalar
-    ``all(...)`` over an empty sequence).
-    """
-    mask = np.ones(points.shape[0], dtype=bool)
-    for halfspace in halfspaces:
-        mask &= halfspace_mask(points, halfspace)
-    return mask
-
-
-def ball_mask(
-    points: np.ndarray, center: Sequence[float], radius_squared: float
-) -> np.ndarray:
-    """Batched SRP-KW exact-distance post-filter.
-
-    Accumulates squared per-axis differences in axis order and applies the
-    identical ``1e-9 * max(1.0, r^2)`` relative tolerance as
-    :meth:`SrpKwIndex.query_squared`'s scalar loop.
-    """
-    dist_sq = np.zeros(points.shape[0], dtype=np.float64)
-    for axis, coord in enumerate(center):
-        diff = points[:, axis] - coord
-        dist_sq += diff**2
-    return dist_sq <= radius_squared + 1e-9 * max(1.0, radius_squared)
-
-
-def points_array(objects: Sequence) -> np.ndarray:
-    """``(n, d)`` float64 coordinate block for a candidate object list."""
-    if not objects:
-        return np.zeros((0, 1), dtype=np.float64)
-    return np.array([obj.point for obj in objects], dtype=np.float64)

@@ -8,11 +8,12 @@ partition: enumerate the (clipped) polytope's vertices, then triangulate.
 For ``d == 1`` the polytope is an interval — a single 1-simplex.  For
 ``d >= 2`` we Delaunay-triangulate the vertex set (scipy); the Delaunay
 simplices of a convex point set tile its convex hull, i.e. the polytope.
-Degenerate (lower-dimensional) polytopes contain no interior and at most a
-measure-zero slice of data; they are handled by returning an empty
-decomposition when no full-dimensional simplex exists (callers additionally
-run an exact containment filter, so correctness never depends on the
-triangulation being fat).
+Degenerate (lower-dimensional) polytopes have no interior, so no
+full-dimensional simplex exists and the decomposition is empty.  They may
+still hold data (a zero-width rectangle through a data point), so
+:class:`~repro.core.lc_kw.LcKwIndex` answers a feasible region without a
+simplex as one convex query region instead, and runs an exact containment
+filter either way: correctness never depends on the triangulation being fat.
 """
 
 from __future__ import annotations

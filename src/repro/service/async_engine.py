@@ -4,15 +4,15 @@ The synchronous engines serve one query at a time and assume a quiescent
 index.  This module puts an :mod:`asyncio` front end above them that makes
 three things safe and observable under concurrent mixed read/write traffic:
 
-**Admission control** (:class:`AdmissionController`).  The same
-:class:`~repro.costmodel.CostCounter` budget machinery that bounds a single
-query's work bounds the *total in-flight* work: each query reserves its
-budget's worth of cost units on admission and releases them on completion.
-When the reservation would push the in-flight total past
-``max_inflight_cost``, the counter's own :class:`~repro.errors.BudgetExceeded`
-fires and the query is *shed* — refused up front with a
-:class:`~repro.service.engine.QueryRecord` carrying ``reason="shed:admission"``
-instead of being allowed to pile latency onto everything already running.
+**Admission control** (:class:`AdmissionController`).  A query's budget
+bounds its own work; admission bounds the *total in-flight* work: each
+query reserves its budget's worth of cost units on admission and releases
+them on completion.  When the reservation would push the in-flight total
+past ``max_inflight_cost``, :class:`~repro.errors.BudgetExceeded` — the
+exception a blown per-query budget raises — fires and the query is *shed*:
+refused up front with a :class:`~repro.service.engine.QueryRecord` carrying
+``reason="shed:admission"`` instead of being allowed to pile latency onto
+everything already running.
 
 **Concurrent execution** (:class:`AsyncQueryEngine`).  The front end runs
 the wrapped engine's own plan — a sharded engine's
@@ -63,17 +63,17 @@ DEFAULT_RESERVATION = 256
 
 
 class AdmissionController:
-    """Bounded in-flight cost, enforced by the budget machinery itself.
+    """Bounded in-flight cost.
 
-    A :class:`~repro.costmodel.CostCounter` with ``budget=max_inflight_cost``
-    holds the running reservation total: :meth:`admit` charges the query's
-    reservation (its budget, or :data:`DEFAULT_RESERVATION` when
-    unbudgeted) and lets the counter's own overflow check decide — the
-    exact machinery, including the exception type, that per-query budgets
-    use.  :meth:`release` returns the units when the query finishes.
+    An ``int`` holds the running reservation total: :meth:`admit` adds the
+    query's reservation (its budget, or :data:`DEFAULT_RESERVATION` when
+    unbudgeted) unless the total would pass ``max_inflight_cost``, in which
+    case it raises :class:`~repro.errors.BudgetExceeded` (with the total
+    the reservation would have made and the bound) and changes nothing.
+    :meth:`release` returns the units when the query finishes.
 
     Thread-safe: admission happens on the event-loop thread, but releases
-    may race in from executor callbacks, so a lock guards the counter.
+    may race in from executor callbacks, so a lock guards the total.
 
     With an :class:`~repro.telemetry.SLOMonitor` attached (``slo=``), its
     graduated pressure signal shrinks the effective in-flight capacity
@@ -95,46 +95,40 @@ class AdmissionController:
             )
         self.max_inflight_cost = max_inflight_cost
         self.slo = slo
-        self._counter = CostCounter(budget=max_inflight_cost)
+        self._inflight_cost = 0
         self._lock = threading.Lock()
         self._inflight_queries = 0
 
     def admit(self, reservation: int) -> None:
         """Reserve ``reservation`` units or shed (:class:`BudgetExceeded`).
 
-        The failing path rolls the charge back — a shed query must leave
-        the in-flight total exactly as it found it.
+        A shed query leaves the in-flight total exactly as it found it.
         """
         with self._lock:
+            total = self._inflight_cost + reservation
             if self.slo is not None and self.max_inflight_cost is not None:
                 pressure = self.slo.pressure()
                 if pressure:
                     # Graduated shed: half capacity at pressure 1, a
                     # quarter at pressure 2 (never below one unit).
                     effective = max(self.max_inflight_cost >> pressure, 1)
-                    if self._counter.total + reservation > effective:
-                        raise SloShed(
-                            self.slo.shed_reason(),
-                            self._counter.total + reservation,
-                            effective,
-                        )
-            try:
-                self._counter.charge("inflight_cost", reservation)
-            except BudgetExceeded:
-                self._counter.charge("inflight_cost", -reservation)
-                raise
+                    if total > effective:
+                        raise SloShed(self.slo.shed_reason(), total, effective)
+            if self.max_inflight_cost is not None and total > self.max_inflight_cost:
+                raise BudgetExceeded(total, self.max_inflight_cost)
+            self._inflight_cost = total
             self._inflight_queries += 1
 
     def release(self, reservation: int) -> None:
         """Return a completed (or failed) query's reserved units."""
         with self._lock:
-            self._counter.charge("inflight_cost", -reservation)
+            self._inflight_cost -= reservation
             self._inflight_queries -= 1
 
     @property
     def inflight_cost(self) -> int:
         """Currently reserved cost units."""
-        return self._counter.total
+        return self._inflight_cost
 
     @property
     def inflight_queries(self) -> int:

@@ -163,7 +163,7 @@ class ServingBase:
         checked_budget(default_budget, "default_budget")
         if keep_records < 1:
             raise ValidationError(f"keep_records must be >= 1, got {keep_records}")
-        self.backend = validate_backend(backend, allow_auto=True)
+        self.backend = validate_backend(backend)
         self.default_budget = default_budget
         self.tracing = tracing
         self.metrics = MetricsRegistry()
@@ -268,14 +268,16 @@ class ServingBase:
 
     def _finish(
         self, query_id: int, rect: Rect, words: Sequence[int], budget: Optional[int],
-        spent: CostCounter, caller: CostCounter, key: Tuple, tracer: Optional[Tracer],
-        outcome: Outcome, slices: Sequence[Dict[str, Any]] = (),
+        spent: CostCounter, caller: CostCounter, key: Optional[Tuple],
+        tracer: Optional[Tracer], outcome: Outcome, slices: Sequence[Dict[str, Any]] = (),
     ) -> Tuple[KeywordObject, ...]:
         """Cache, record and account one executed query.
 
         ``slices`` are a fan-out's per-shard slices; the query is degraded
-        when any slice is.  Not thread-safe (the cache and the record deque
-        are not): the async front end finishes on its event-loop thread.
+        when any slice is.  A ``key`` of ``None`` skips the cache put (a
+        fan-out whose pinned map was superseded while it ran).  Not
+        thread-safe (the cache and the record deque are not): the async
+        front end finishes on its event-loop thread.
         """
         # Record and cache before touching the caller's counter, and fold the
         # spent units into it with absorb() (never merge()): a caller-supplied
@@ -283,7 +285,7 @@ class ServingBase:
         # BudgetExceeded never escapes query() — the trace and the cache entry
         # must land even when the caller's budget is already blown.
         results = tuple(outcome.results)
-        evicted = self._cache.put(key, results)
+        evicted = self._cache.put(key, results) if key is not None else 0
         if evicted and self._events is not None:
             self._events.emit(
                 "cache_evict", query_id=query_id, evicted=evicted,

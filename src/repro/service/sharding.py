@@ -67,6 +67,14 @@ from ..telemetry.events import EventLog
 from ..trace import Tracer, span_for
 from .engine import Outcome, QueryEngine, ServingBase
 
+#: New objects are routed to the shard whose bounds need the least
+#: expansion; once the largest shard exceeds ``REBALANCE_THRESHOLD`` times
+#: its fair share (``live_total / shards``), the next mutation publishes a
+#: rebalanced map (a fresh :func:`partition_dataset` over the live set).
+#: The largest possible ratio is the shard count, so 1.5 fires for any
+#: shard count >= 2.
+REBALANCE_THRESHOLD = 1.5
+
 
 def split_budget_exact(budget: int, parts: int) -> List[int]:
     """Split ``budget`` into ``parts`` near-equal shares summing exactly.
@@ -408,9 +416,12 @@ class Fanout:
             if tracer is not None:
                 for child in tracer.finish().children:
                     self.tracer.root.graft(child)
+        # A write published while the shards ran (a pooled fan-out) keys
+        # this answer by a map no later lookup uses: it is not cached.
+        key = self.key if engine._state is self.state else None
         self.results = engine._finish(
             self.query_id, self.rect, self.words, self.budget, spent, self.caller,
-            self.key, self.tracer,
+            key, self.tracer,
             Outcome(_merge_results(merged), "sharded", engine.backend, fallbacks, {}, False),
             slices,
         )
@@ -464,13 +475,6 @@ class ShardedQueryEngine(ServingBase):
         #: Global vocabulary, shared across shards (each shard's inverted
         #: index only covers its slice; stats report the full W).
         self.vocabulary = dataset.vocabulary
-        #: New objects are routed to the shard whose bounds need the least
-        #: expansion; once the largest shard exceeds ``rebalance_threshold``
-        #: times its fair share (``live_total / shards``), the next mutation
-        #: publishes a rebalanced map (fresh ``partition_dataset`` over the
-        #: live set).  The largest possible ratio is the shard count, so the
-        #: default 1.5 fires for any shard count >= 2.
-        self.rebalance_threshold = 1.5
         self._rebalances = 0
         self._next_oid = max((obj.oid for obj in dataset.objects), default=-1) + 1
         self._publish_state(
@@ -505,8 +509,11 @@ class ShardedQueryEngine(ServingBase):
         )
 
     def _publish_state(self, shard_map: ShardMap) -> None:
-        """Atomically install the successor shard map (one assignment)."""
+        """Atomically install the successor shard map (one assignment) and
+        empty the cache: every entry is keyed by an older map's epoch, so
+        none can be hit again."""
         self._state = shard_map
+        self._cache.clear()
         if self._events is not None:
             self._events.emit(
                 "epoch_publish",
@@ -560,7 +567,7 @@ class ShardedQueryEngine(ServingBase):
         box is expanded to cover it, and the successor map is published
         atomically — in-flight readers on the previous map finish
         consistently without the new object.  When the insert tips the
-        balance past :attr:`rebalance_threshold`, the published map is a
+        balance past :data:`REBALANCE_THRESHOLD`, the published map is a
         full rebalance instead (see :meth:`rebalance`).
         """
         coords = tuple(float(c) for c in point)
@@ -692,7 +699,7 @@ class ShardedQueryEngine(ServingBase):
         if live_total == 0:
             return bool(tombstones)
         fair = live_total / len(live_sizes)
-        return max(live_sizes) > self.rebalance_threshold * fair + 1.0
+        return max(live_sizes) > REBALANCE_THRESHOLD * fair + 1.0
 
     def _rebalanced_map(
         self, tombstones: FrozenSet[int], shards: Optional[int]

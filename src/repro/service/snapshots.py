@@ -14,9 +14,10 @@ epoch, swapped in with one reference assignment:
   state: no partially applied batch, no duplicated object across a carry
   merge, no mid-rebuild empty window.  A pinned shard map answers through
   the fan-out's own per-shard step, at each shard's indexed cost.
-* :class:`SnapshotManager` — hands out snapshots, tracks how far behind the
-  published head each pin is (*snapshot age*, in epochs), and meters that
-  into the index's own registry.
+* :class:`SnapshotManager` — hands out snapshots over a sharded engine,
+  counts the pins it holds, and meters how far behind the published head
+  the oldest of them is (*snapshot age*, in epochs) into the engine's own
+  registry.
 
 The concurrency contract mirrors the core index: one writer at a time (a
 serving stack writes on its event-loop thread), any number of concurrent
@@ -29,6 +30,7 @@ from typing import Any, Dict, FrozenSet, List, Optional, Sequence
 
 from ..costmodel import CostCounter
 from ..dataset import KeywordObject
+from ..errors import ValidationError
 from ..geometry.rectangles import Rect
 
 
@@ -73,29 +75,37 @@ class Snapshot:
 
 
 class SnapshotManager:
-    """Pins snapshots over a dynamic index and meters their staleness.
+    """Pins snapshots over a sharded engine and meters their staleness.
 
     Parameters
     ----------
     index:
-        Any index exposing the epoch protocol: an ``epoch`` property
-        returning the current immutable epoch, and a ``metrics`` registry
-        (:class:`~repro.core.dynamize.DynamicOrpKw`, whose epochs are
-        bucket ladders, and
-        :class:`~repro.service.sharding.ShardedQueryEngine`, whose epochs
-        are published :class:`~repro.service.sharding.ShardMap` layouts).
-        The gauges (``snapshot_epoch``, ``snapshot_age``) and the
-        ``snapshots_pinned_total`` / ``snapshots_released_total`` counters
-        go into ``index.metrics``, so a serving stack keeps one registry.
+        The index whose published epochs are pinned: a
+        :class:`~repro.service.sharding.ShardedQueryEngine`, whose epochs are
+        published :class:`~repro.service.sharding.ShardMap` layouts.  Any
+        index with an ``epoch`` property and a ``metrics`` registry works;
+        the gauges (``snapshot_epoch``, ``snapshot_age``) and the
+        ``snapshots_pinned_total`` / ``snapshots_released_total`` counters go
+        into ``index.metrics``, so a serving stack keeps one registry.  A
+        :class:`~repro.core.dynamize.Dynamized` index has no registry; its
+        readers pin by reading ``index.epoch``.
     events:
         A :class:`~repro.telemetry.EventLog` receiving ``snapshot_pin`` /
         ``snapshot_release`` events; ``None`` disables emission.
+
+    The manager counts the pins it holds per epoch.  ``snapshot_age`` is
+    the published epoch minus the oldest epoch still held (0 when no pin is
+    held), re-metered by :meth:`pin`, :meth:`observe` and :meth:`release`,
+    so a leaked old pin stays visible however many fresh pins come and go.
+    The count is not locked: pin and release on one thread (a serving
+    stack's event-loop thread).
     """
 
     def __init__(self, index, events=None):
         self.index = index
         self.metrics = index.metrics
         self._events = events
+        self._held: Dict[int, int] = {}
 
     def pin(self) -> Snapshot:
         """Pin the currently published epoch for isolated reads.
@@ -104,34 +114,44 @@ class SnapshotManager:
         writer never blocks it.
         """
         snapshot = Snapshot(self.index, self.index.epoch)
+        epoch_id = snapshot.epoch_id
+        self._held[epoch_id] = self._held.get(epoch_id, 0) + 1
         self.metrics.counter("snapshots_pinned_total").inc()
-        self.metrics.gauge("snapshot_epoch").set(snapshot.epoch_id)
-        self.metrics.gauge("snapshot_age").set(snapshot.age())
+        self.metrics.gauge("snapshot_epoch").set(epoch_id)
+        self.observe()
         if self._events is not None:
-            self._events.emit(
-                "snapshot_pin", epoch=snapshot.epoch_id, live=len(snapshot)
-            )
+            self._events.emit("snapshot_pin", epoch=epoch_id, live=len(snapshot))
         return snapshot
 
-    def observe(self, snapshot: Snapshot) -> None:
-        """Re-meter a held snapshot's age (serving layers call this after
-        each read so the gauge tracks the *oldest still-working* pin)."""
-        self.metrics.gauge("snapshot_age").set(snapshot.age())
+    def observe(self) -> None:
+        """Re-meter ``snapshot_age``: epochs published since the oldest pin
+        still held, or 0 when none is (serving layers call this after each
+        read)."""
+        age = self.index.epoch.epoch_id - min(self._held) if self._held else 0
+        self.metrics.gauge("snapshot_age").set(age)
 
     def release(self, snapshot: Snapshot) -> None:
-        """Mark a pinned snapshot as done (final age metering + event).
+        """Mark a pinned snapshot as done (age re-metering + event).
 
         Pins are plain references — nothing needs freeing — but release
         gives the telemetry stream a paired ``snapshot_release`` with the
         pin's final staleness, so a leaked long-lived pin is visible as a
-        pin with no matching release.
+        pin with no matching release.  Releasing a pin this manager does
+        not hold raises :class:`~repro.errors.ValidationError` and changes
+        nothing.
         """
+        epoch_id = snapshot.epoch_id
+        held = self._held.get(epoch_id, 0)
+        if not held:
+            raise ValidationError(f"no pin on epoch {epoch_id} is held")
+        if held == 1:
+            del self._held[epoch_id]
+        else:
+            self._held[epoch_id] = held - 1
         self.metrics.counter("snapshots_released_total").inc()
-        self.metrics.gauge("snapshot_age").set(snapshot.age())
+        self.observe()
         if self._events is not None:
-            self._events.emit(
-                "snapshot_release", epoch=snapshot.epoch_id, age=snapshot.age()
-            )
+            self._events.emit("snapshot_release", epoch=epoch_id, age=snapshot.age())
 
     def stats(self) -> Dict[str, Any]:
         """JSON-safe staleness summary."""

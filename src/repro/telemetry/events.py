@@ -1,9 +1,9 @@
 """Bounded, schema-versioned structured event log for the serving stack.
 
 Query records answer "what did query 17 cost"; the event log answers "what
-*happened*, in order" — which epochs were published, which queries were
-shed and why, when a carry merge or compaction ran, when a shard map was
-rebalanced.  EMBANKS-style operational auditing wants those page/epoch-like
+*happened*, in order" — which shard maps were published, which queries
+were shed and why, when a shard map was rebalanced, which snapshots were
+pinned and released.  EMBANKS-style operational auditing wants those page/epoch-like
 events held to the same rigor as RAM-model costs, so the log is:
 
 * **typed** — every event carries a ``kind`` from :data:`EVENT_KINDS`;
@@ -33,10 +33,10 @@ from .clock import Clock, CounterClock
 #: Event-line schema version (bump on incompatible field changes).
 SCHEMA_VERSION = 1
 
-#: Every event kind the serving stack emits.  Grouped by emitter:
-#: engines (query_*, cache_evict), the dynamization layer (epoch_publish,
-#: carry_merge, compaction), the sharded engine (shard_rebalance), and the
-#: snapshot manager (snapshot_pin, snapshot_release).
+#: Every event kind the serving stack emits.  Grouped by emitter: engines
+#: (query_*, cache_evict), the sharded engine (epoch_publish,
+#: shard_rebalance), and the snapshot manager (snapshot_pin,
+#: snapshot_release).
 EVENT_KINDS = frozenset(
     {
         "query_finish",
@@ -44,8 +44,6 @@ EVENT_KINDS = frozenset(
         "query_degraded",
         "cache_evict",
         "epoch_publish",
-        "carry_merge",
-        "compaction",
         "shard_rebalance",
         "snapshot_pin",
         "snapshot_release",
@@ -108,8 +106,8 @@ class EventLog:
         for live wall-clock stamps.
 
     One log may be shared across every serving component of a deployment
-    (engine, async front end, dynamic index, snapshot manager): sequence
-    numbers then give a single total order over the whole stack's events.
+    (engine, async front end, snapshot manager): sequence numbers then give
+    a single total order over the whole stack's events.
     """
 
     def __init__(self, capacity: int = 4096, clock: Optional[Clock] = None):

@@ -116,6 +116,27 @@ class TestLcKw:
         cons = [HalfSpace((1.0, 0.0), 1.0), HalfSpace((-1.0, 0.0), -9.0)]
         assert index.query(cons, [1, 2]) == []
 
+    def test_flat_region_reports_the_data_on_it(self, rng):
+        """A feasible region without a full-dimensional simplex — a
+        zero-width rectangle or a single point — still reports the data
+        points on it (the decomposition alone would find none)."""
+        from repro.dataset import Dataset, make_objects
+        from repro.geometry.halfspaces import rect_to_halfspaces
+
+        points = [(x / 4, y / 4) for x in range(5) for y in range(5)]
+        ds = Dataset(make_objects(points, [[1, 2]] * len(points)))
+        index = LcKwIndex(ds, k=2)
+        for lo, hi in [
+            ((0.5, 0.25), (0.5, 0.75)),  # zero width
+            ((0.25, 1.0), (1.0, 1.0)),  # zero height, on the boundary
+            ((0.75, 0.75), (0.75, 0.75)),  # one point
+        ]:
+            cons = list(rect_to_halfspaces(lo, hi))
+            got = sorted(o.oid for o in index.query(cons, [1, 2]))
+            want = sorted(o.oid for o in ds if all(h.contains(o.point) for h in cons))
+            assert got == want and want, (lo, hi)
+            assert not index.is_empty(cons, [1, 2])
+
     def test_no_duplicates_across_simplices(self, rng):
         """Objects on shared simplex facets must be reported once."""
         ds = random_dataset(rng, 80)

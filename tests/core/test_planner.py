@@ -117,10 +117,6 @@ def _run_cost(planner, strategy, rect, words) -> int:
 
 
 class TestValidation:
-    def test_bad_sample_size(self, rng):
-        with pytest.raises(ValidationError):
-            HybridPlanner(random_dataset(rng, 10), k=2, sample_size=0)
-
     def test_unknown_strategy(self, rng):
         planner = HybridPlanner(random_dataset(rng, 10), k=2)
         with pytest.raises(ValidationError):

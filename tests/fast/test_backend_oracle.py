@@ -16,13 +16,10 @@ import pytest
 
 from repro.analysis.runner import analyze_paths
 from repro.core.baselines import KeywordsOnlyIndex
-from repro.core.lc_kw import LcKwIndex
-from repro.core.srp_kw import SrpKwIndex
 from repro.costmodel import CATEGORIES, CostCounter
 from repro.dataset import Dataset, make_objects
 from repro.errors import ValidationError
 from repro.fast import ArrayStore, VectorizedBackend, validate_backend
-from repro.geometry.halfspaces import rect_to_halfspaces
 from repro.geometry.rectangles import Rect
 from repro.service import QueryEngine, ShardedQueryEngine
 from repro.trace import Tracer
@@ -76,11 +73,7 @@ class TestValidateBackend:
     def test_known_backends(self):
         assert validate_backend("cost_model") == "cost_model"
         assert validate_backend("vectorized") == "vectorized"
-        assert validate_backend("auto", allow_auto=True) == "auto"
-
-    def test_auto_rejected_for_indexes(self):
-        with pytest.raises(ValidationError):
-            validate_backend("auto")
+        assert validate_backend("auto") == "auto"
 
     def test_unknown_rejected(self):
         with pytest.raises(ValidationError):
@@ -107,24 +100,6 @@ class TestKeywordsOnlyOracle:
                 (scalar.query_rect(rect, words, c1), c1),
                 (vectorized.query_rect(rect, words, c2), c2),
                 (workload, seed, rect, words),
-            )
-
-    @pytest.mark.parametrize("seed", range(3))
-    def test_halfspace_region_sweep(self, seed):
-        dataset = workload_dataset("zipf", seed)
-        span = bounding_span(dataset)
-        rng = random.Random(seed + 200)
-        scalar = KeywordsOnlyIndex(dataset)
-        vectorized = VectorizedBackend(dataset)
-        for _ in range(10):
-            rect = random_rect(rng, span)
-            constraints = list(rect_to_halfspaces(rect.lo, rect.hi))
-            words = rng.sample(range(1, 9), rng.randint(1, 3))
-            c1, c2 = CostCounter(), CostCounter()
-            assert_same_answer_and_cost(
-                (scalar.query_constraints(constraints, words, c1), c1),
-                (vectorized.query_halfspaces(constraints, words, c2), c2),
-                (seed, rect, words),
             )
 
     def test_empty_result_query(self):
@@ -195,55 +170,6 @@ class TestKeywordsOnlyOracle:
                     except BudgetExceeded:
                         outcomes.append(("exceeded", counter.snapshot()))
                 assert outcomes[0] == outcomes[1], (words, budget, outcomes)
-
-
-class TestLcSrpOracle:
-    @pytest.mark.parametrize("seed", range(2))
-    def test_lc_kw_single_constraint_and_simplex(self, seed):
-        dataset = workload_dataset("zipf", seed, num_objects=80)
-        span = bounding_span(dataset)
-        rng = random.Random(seed + 300)
-        scalar = LcKwIndex(dataset, k=2)
-        vectorized = LcKwIndex(dataset, k=2, backend="vectorized")
-        for _ in range(6):
-            rect = random_rect(rng, span)
-            constraints = list(rect_to_halfspaces(rect.lo, rect.hi))
-            words = rng.sample(range(1, 9), 2)
-            for subset in (constraints[:1], constraints):  # 1 vs 4 constraints
-                c1, c2 = CostCounter(), CostCounter()
-                assert_same_answer_and_cost(
-                    (scalar.query(subset, words, c1), c1),
-                    (vectorized.query(subset, words, c2), c2),
-                    (seed, rect, words, len(subset)),
-                )
-
-    @pytest.mark.parametrize("seed", range(2))
-    def test_srp_kw_ball_queries(self, seed):
-        dataset = workload_dataset("zipf", seed, num_objects=80)
-        span = bounding_span(dataset)
-        rng = random.Random(seed + 400)
-        scalar = SrpKwIndex(dataset, k=2)
-        vectorized = SrpKwIndex(dataset, k=2, backend="vectorized")
-        for _ in range(6):
-            center = (rng.uniform(0, span), rng.uniform(0, span))
-            radius = rng.uniform(0.1, span / 2)
-            words = rng.sample(range(1, 9), 2)
-            c1, c2 = CostCounter(), CostCounter()
-            assert_same_answer_and_cost(
-                (scalar.query(center, radius, words, c1), c1),
-                (vectorized.query(center, radius, words, c2), c2),
-                (seed, center, radius, words),
-            )
-
-    def test_srp_kw_zero_radius(self):
-        dataset = Dataset(make_objects([(1.0, 2.0), (3.0, 4.0)], [[1, 2], [1, 2]]))
-        c1, c2 = CostCounter(), CostCounter()
-        scalar = SrpKwIndex(dataset, k=2).query((1.0, 2.0), 0.0, [1, 2], c1)
-        vector = SrpKwIndex(dataset, k=2, backend="vectorized").query(
-            (1.0, 2.0), 0.0, [1, 2], c2
-        )
-        assert [o.oid for o in scalar] == [o.oid for o in vector] == [0]
-        assert c1.snapshot() == c2.snapshot()
 
 
 class TestEngineSweep:
@@ -390,6 +316,42 @@ def _leaf_total(span_dict) -> int:
     if not children:
         return sum(span_dict.get("costs", {}).get(c, 0) for c in CATEGORIES)
     return sum(_leaf_total(child) for child in children)
+
+
+def _imported_modules(path, src):
+    """Absolute names of every module ``path`` imports (``from`` imports
+    name the module and each imported name, since either may be a module)."""
+    import ast
+
+    # The package a relative import starts from: drop the module's own name
+    # (or ``__init__``).
+    package = list(path.relative_to(src).with_suffix("").parts)[:-1]
+    names = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            names.extend(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = package[: len(package) - node.level + 1] if node.level else []
+            module = ".".join(base + ([node.module] if node.module else []))
+            names.append(module)
+            names.extend(f"{module}.{alias.name}" for alias in node.names)
+    return names
+
+
+class TestConsumers:
+    def test_core_never_imports_fast(self):
+        """``fast/`` serves the engine alone: no module under ``core/``
+        imports it, at module level or inside a function."""
+        import pathlib
+
+        src = pathlib.Path(__file__).resolve().parents[2] / "src"
+        offenders = [
+            (path.name, name)
+            for path in sorted((src / "repro" / "core").rglob("*.py"))
+            for name in _imported_modules(path, src)
+            if name == "repro.fast" or name.startswith("repro.fast.")
+        ]
+        assert offenders == []
 
 
 class TestReprolint:

@@ -325,7 +325,7 @@ class TestAsyncDynamicIndex:
                 stale = snapshots.pin()
                 engine.insert((0.3, 0.3), {1, 2})
                 await front.query(Rect.full(2), [1, 2])
-                snapshots.observe(stale)
+                snapshots.observe()
                 return stale, snapshots.stats(), front.stats()["metrics"]
 
         stale, stats, metrics = asyncio.run(drive())

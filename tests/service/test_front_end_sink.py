@@ -235,3 +235,39 @@ def test_loop_thread_writes_beside_pooled_queries():
     counts = events.counts()
     assert counts["shard_rebalance"] >= 1 and counts["snapshot_pin"] == 12
     assert counts["query_finish"] == len(workload)
+
+
+def test_superseded_fanout_is_not_cached(rng):
+    """A pooled query opens on map 0; on the loop thread an insert publishes
+    map 1 and four queries are served inline before the pooled one
+    finishes.  The pooled answer is map 0's, but it is not cached: every
+    cached key carries the published epoch, so the stale answer evicts no
+    live entry and each inline query hits when asked again."""
+    dataset = random_dataset(rng, 120)
+    engine = ShardedQueryEngine(dataset, shards=3, max_k=2, cache_size=4)
+    pooled_rect, pooled_words = Rect((0.0, 0.0), (10.0, 10.0)), [1, 2]
+    inline = [(Rect((i, i), (i + 5.0, i + 5.0)), [1]) for i in range(4)]
+    expected = sorted(
+        obj.oid
+        for obj in dataset.objects
+        if pooled_rect.contains_point(obj.point) and set(pooled_words) <= obj.doc
+    )
+
+    async def drive():
+        async with AsyncQueryEngine(engine, max_workers=3) as front:
+            pooled = asyncio.ensure_future(front.query(pooled_rect, pooled_words))
+            await asyncio.sleep(0)  # the plan opens on map 0; its shards go to the pool
+            assert engine.epoch.epoch_id == 0
+            engine.insert((5.0, 5.0), [1, 2])
+            for rect, words in inline:
+                engine.query(rect, words)
+            return await pooled
+
+    found = asyncio.run(drive())
+    assert [obj.oid for obj in found] == expected
+    published = engine.epoch.epoch_id
+    assert published == 1
+    assert [key[0] for key in engine.cache._entries] == [published] * len(inline)
+    for rect, words in inline:
+        engine.query(rect, words)
+        assert engine.last_record.cache == "hit", (rect, words)

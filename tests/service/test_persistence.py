@@ -78,20 +78,23 @@ class TestFormatVersionGuard:
         assert f"this library reads format {FORMAT_VERSION}" in message
 
     def test_format_1_file_rejected(self, rng, tmp_path):
-        """Format 1 is the layout before one planner per engine; its files
-        are refused, not migrated, even when the stored object would load."""
+        """Format 1 is the layout before one planner per engine, format 3
+        the one before the LC-KW/SRP-KW backend and ``Dynamized``'s
+        telemetry went; their files are refused, not migrated, even when
+        the stored object would load."""
         engine = QueryEngine(random_dataset(rng, 30), max_k=2)
-        envelope = {
-            "magic": MAGIC,
-            "format": 1,
-            "library_version": "0.0.0",
-            "index_class": "QueryEngine",
-            "index": engine,
-        }
-        path = tmp_path / "format1.idx"
-        Path(path).write_bytes(pickle.dumps(envelope))
-        with pytest.raises(ValidationError) as excinfo:
-            load_index(path, expected_class=QueryEngine)
-        message = str(excinfo.value)
-        assert "index file format 1 unsupported" in message
-        assert f"this library reads format {FORMAT_VERSION}" in message
+        for old in (1, 3):
+            envelope = {
+                "magic": MAGIC,
+                "format": old,
+                "library_version": "0.0.0",
+                "index_class": "QueryEngine",
+                "index": engine,
+            }
+            path = tmp_path / f"format{old}.idx"
+            Path(path).write_bytes(pickle.dumps(envelope))
+            with pytest.raises(ValidationError) as excinfo:
+                load_index(path, expected_class=QueryEngine)
+            message = str(excinfo.value)
+            assert f"index file format {old} unsupported" in message
+            assert f"this library reads format {FORMAT_VERSION}" in message

@@ -15,7 +15,7 @@ from repro.costmodel import CostCounter
 from repro.errors import ValidationError
 from repro.geometry.rectangles import Rect
 from repro.service.async_engine import AsyncQueryEngine
-from repro.service.sharding import ShardedQueryEngine
+from repro.service.sharding import REBALANCE_THRESHOLD, ShardedQueryEngine
 from repro.service.snapshots import SnapshotManager
 
 from helpers import random_dataset
@@ -98,7 +98,7 @@ class TestRebalance:
         # Post-rebalance the load is spread within the configured factor.
         live = stats["live_sizes"]
         fair = sum(live) / len(live)
-        assert max(live) <= engine.rebalance_threshold * fair + 1.0
+        assert max(live) <= REBALANCE_THRESHOLD * fair + 1.0
         got = {obj.oid for obj in engine.query(rect, [1, 2])}
         assert got == baseline | inserted
 
@@ -152,8 +152,29 @@ class TestSnapshotCutover:
         # ... while the live engine serves the post-cutover layout.
         live = {obj.oid for obj in engine.query(rect, [1, 2])}
         assert live == frozen | {new_oid}
-        manager.observe(pinned)
+        manager.observe()
         assert manager.metrics.gauge("snapshot_age").value == pinned.age()
+
+    def test_age_gauge_tracks_the_oldest_held_pin(self, rng):
+        """``snapshot_age`` follows the oldest pin still held, not the last
+        one touched; releasing a pin that is not held raises."""
+        engine = _clustered_engine(rng)
+        manager = SnapshotManager(engine)
+        gauge = manager.metrics.gauge("snapshot_age")
+        first = manager.pin()
+        for i in range(3):
+            engine.insert((0.1 * (i + 1), 0.5), {1, 2})
+        second = manager.pin()
+        assert second.age() == 0
+        assert gauge.value == 3
+        manager.release(second)
+        assert gauge.value == 3
+        manager.release(first)
+        assert gauge.value == 0
+        with pytest.raises(ValidationError):
+            manager.release(first)
+        assert gauge.value == 0
+        assert manager.metrics.counter("snapshots_released_total").value == 2
 
     def test_snapshot_isolated_from_deletes_after_pin(self, rng):
         engine = _clustered_engine(rng)

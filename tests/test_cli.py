@@ -169,6 +169,72 @@ class TestRectangleIndexCommands:
             load_jsonl_rectangles(str(path))
 
 
+class TestDynamicBuilds:
+    """``build --dynamic`` for every dynamizable kind: ``info``, one query
+    of the kind's shape, then ``load_index`` and a write round trip."""
+
+    #: kind -> (class, CLI query flags, in-process query over the same region)
+    KINDS = {
+        "keywords": ("DynamicKeywordsOnly", ["--rect", "0", "0", "60", "10"], "rect"),
+        "multi": ("DynamicMultiKOrp", ["--rect", "0", "0", "60", "10"], "rect"),
+        "orp": ("DynamicOrpKw", ["--rect", "0", "0", "60", "10"], "rect"),
+        "lc": ("DynamicLcKw", ["--halfspace", "1", "0", "50"], "halfspace"),
+        "srp": ("DynamicSrpKw", ["--ball", "50", "5", "30"], "ball"),
+    }
+
+    @staticmethod
+    def _ask(index, shape, words):
+        from repro.geometry.halfspaces import HalfSpace
+        from repro.geometry.rectangles import Rect
+
+        if shape == "rect":
+            return index.query(Rect((0.0, 0.0), (60.0, 10.0)), words)
+        if shape == "halfspace":
+            return index.query([HalfSpace((1.0, 0.0), 50.0)], words)
+        return index.query((50.0, 5.0), 30.0, words)
+
+    @staticmethod
+    def _inside(point, shape):
+        x, y = point
+        if shape == "rect":
+            return 0.0 <= x <= 60.0 and 0.0 <= y <= 10.0
+        if shape == "halfspace":
+            return x <= 50.0
+        return (x - 50.0) ** 2 + (y - 5.0) ** 2 <= 30.0**2
+
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    def test_build_info_query_and_write(self, kind, dataset_file, tmp_path, capsys):
+        from repro.persist import load_index
+
+        cls, flags, shape = self.KINDS[kind]
+        index_path = tmp_path / f"{kind}.bin"
+        build = ["build", str(dataset_file), str(index_path), "--kind", kind, "--dynamic"]
+        assert main(build) == 0
+        capsys.readouterr()
+        assert main(["info", str(index_path)]) == 0
+        info = json.loads(capsys.readouterr().out)
+        assert (info["class"], info["dim"]) == (cls, 2)
+
+        dataset = load_jsonl_dataset(str(dataset_file))
+        expected = sorted(
+            obj.oid
+            for obj in dataset.objects
+            if self._inside(obj.point, shape) and {1, 2} <= obj.doc
+        )
+        assert main(["query", str(index_path), *flags, "--keywords", "1", "2"]) == 0
+        out = capsys.readouterr().out.strip()
+        found = [json.loads(line)["oid"] for line in out.splitlines() if line]
+        assert sorted(found) == expected
+
+        index = load_index(index_path)
+        assert type(index).__name__ == cls and len(index) == len(dataset)
+        oid = index.insert((50.0, 5.0), [1, 2])
+        assert sorted(obj.oid for obj in self._ask(index, shape, [1, 2])) == expected + [oid]
+        index.delete(oid)
+        assert sorted(obj.oid for obj in self._ask(index, shape, [1, 2])) == expected
+        assert len(index) == len(dataset)
+
+
 class TestEngineCommands:
     @pytest.fixture
     def queries_file(self, tmp_path, rng):
