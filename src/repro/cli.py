@@ -609,7 +609,7 @@ def cmd_info(args: argparse.Namespace) -> int:
         "k": getattr(index, "k", getattr(index, "max_k", None)),
         "dim": getattr(index, "dim", None),
         "input_size": getattr(index, "input_size", None),
-        "space_units": getattr(index, "space_units", None),
+        "space_units": index.space_units,
     }
     print(json.dumps(info, indent=2))
     return 0

@@ -23,6 +23,7 @@ from ..dataset import (
     RectangleObject,
     validate_nonempty_keywords,
 )
+from ..errors import ValidationError
 from ..geometry.halfspaces import HalfSpace
 from ..geometry.rectangles import Rect
 from ..geometry.regions import ConvexRegion
@@ -100,9 +101,19 @@ class KeywordsOnlyIndex:
         self.dataset = dataset
         self._inverted = inverted if inverted is not None else InvertedIndex(dataset)
 
+    @property
+    def space_units(self) -> int:
+        """Posting-list entries of the inverted index (equals ``N``)."""
+        return self._inverted.space_units
+
     def query_rect(
         self, rect: Rect, keywords: Sequence[int], counter: Optional[CostCounter] = None
     ) -> List[KeywordObject]:
+        if rect.dim != self.dataset.dim:
+            raise ValidationError(
+                f"query rectangle is {rect.dim}-dimensional, "
+                f"data is {self.dataset.dim}-dimensional"
+            )
         return self.query_predicate(rect.contains_point, keywords, counter)
 
     def query_region(

@@ -7,9 +7,12 @@ containment — run as a handful of vectorized passes.
 
 Correctness contract (the oracle contract, DESIGN.md section 12): every
 predicate here mirrors its scalar counterpart *operation for operation*, so
-a vectorized query returns the byte-identical result set.  Rectangle
-containment is the same closed ``lo <= p <= hi`` corner comparison as
-:meth:`~repro.geometry.rectangles.Rect.contains_point`.
+a vectorized query returns the byte-identical result set.  The rectangle
+post-filter is :meth:`~repro.geometry.rectangles.Rect.contains_points`,
+which makes the same closed ``lo <= p <= hi`` comparisons as
+:meth:`~repro.geometry.rectangles.Rect.contains_point` one axis at a time
+over a block; both live in ``geometry/``, so the planner's selectivity
+count shares the rule without ``core/`` importing this package.
 
 Cost contract: charges are *batch-granularity* — one
 ``charge(category, n)`` per vectorized pass — but the per-category totals
@@ -128,16 +131,10 @@ class ArrayStore:
         return examined, [units - examined] if units > examined else []
 
     def rect_mask(self, oids: np.ndarray, rect: Rect) -> np.ndarray:
-        """Closed containment mask over the points with the given oids.
-
-        The batched rank-space containment test: both corner comparisons run
-        as whole-column vector predicates over the contiguous coordinate
-        block.  Infinite bounds behave exactly as in the scalar test.
-        """
-        pts = self.coords[self.rows(oids)]
-        lo = np.asarray(rect.lo, dtype=np.float64)
-        hi = np.asarray(rect.hi, dtype=np.float64)
-        return ((pts >= lo) & (pts <= hi)).all(axis=1)
+        """Closed containment mask over the points with the given oids:
+        :meth:`Rect.contains_points` over their rows of the coordinate
+        block."""
+        return rect.contains_points(self.coords[self.rows(oids)])
 
 
 def charge_filter(counter: CostCounter, candidates: int) -> None:

@@ -3,13 +3,18 @@
 A *d-rectangle* (paper footnote 1) is a product of closed intervals
 ``[x1, y1] x ... x [xd, yd]``.  Unbounded sides are represented with
 ``float('inf')`` / ``float('-inf')``; :meth:`Rect.full` builds the all-space
-rectangle used as the root cell of the kd-tree.
+rectangle used as the root cell of the kd-tree.  Closed containment has a
+scalar form for one point (:meth:`Rect.contains_point`) and a block form
+for an ``(n, d)`` array (:meth:`Rect.contains_points`) that makes the same
+comparisons.
 """
 
 from __future__ import annotations
 
 import math
 from typing import Sequence, Tuple
+
+import numpy as np
 
 from ..errors import ValidationError
 
@@ -69,24 +74,44 @@ class Rect:
     # -- predicates ----------------------------------------------------------
 
     def contains_point(self, point: Sequence[float]) -> bool:
-        """Closed containment test."""
-        return all(
-            self.lo[i] <= point[i] <= self.hi[i] for i in range(self.dim)
-        )
+        """Closed containment test.
+
+        ``point`` must have the rectangle's dimension: the axes are zipped,
+        so a shorter point would be tested on its own axes only.  The query
+        entry points and inserts check dimensions before they get here.
+        """
+        for low, x, high in zip(self.lo, point, self.hi):
+            if not low <= x <= high:
+                return False
+        return True
+
+    def contains_points(self, points: np.ndarray) -> np.ndarray:
+        """Closed containment mask over an ``(n, d)`` float64 block of points.
+
+        Row ``i`` of the mask is :meth:`contains_point` of row ``i``: the
+        same ``lo <= x <= hi`` comparisons, made as one numpy pass per axis
+        (infinite bounds behave as in the scalar test).
+        """
+        inside = np.ones(len(points), dtype=bool)
+        for axis, (low, high) in enumerate(zip(self.lo, self.hi)):
+            column = points[:, axis]
+            inside &= column >= low
+            inside &= column <= high
+        return inside
 
     def intersects(self, other: "Rect") -> bool:
         """Whether the two closed rectangles share at least one point."""
-        return all(
-            self.lo[i] <= other.hi[i] and other.lo[i] <= self.hi[i]
-            for i in range(self.dim)
-        )
+        for low, high, other_low, other_high in zip(self.lo, self.hi, other.lo, other.hi):
+            if not (low <= other_high and other_low <= high):
+                return False
+        return True
 
     def covers(self, other: "Rect") -> bool:
         """Whether ``other`` is fully contained in this rectangle."""
-        return all(
-            self.lo[i] <= other.lo[i] and other.hi[i] <= self.hi[i]
-            for i in range(self.dim)
-        )
+        for low, high, other_low, other_high in zip(self.lo, self.hi, other.lo, other.hi):
+            if not (low <= other_low and other_high <= high):
+                return False
+        return True
 
     def boundary_contains(self, point: Sequence[float]) -> bool:
         """Whether ``point`` lies on the boundary of this rectangle.

@@ -134,6 +134,10 @@ class KdTree:
         Standard kd-tree analysis: ``O(n^(1-1/d) + OUT)`` node visits for a
         d-dimensional tree on ``n`` points.
         """
+        if rect.dim != self.dim:
+            raise ValidationError(
+                f"query rectangle is {rect.dim}-dimensional, data is {self.dim}-dimensional"
+            )
         counter = ensure_counter(counter)
         result: List[int] = []
         stack = [self.root]

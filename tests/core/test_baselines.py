@@ -1,5 +1,7 @@
 """Unit tests for repro.core.baselines (the §1 naive solutions)."""
 
+import pytest
+
 from repro.core.baselines import (
     KeywordsOnlyIndex,
     NaiveRectangleIndex,
@@ -10,6 +12,7 @@ from repro.core.baselines import (
 )
 from repro.costmodel import CostCounter
 from repro.dataset import RectangleObject
+from repro.errors import ValidationError
 from repro.geometry.halfspaces import HalfSpace
 from repro.geometry.rectangles import Rect
 from repro.geometry.regions import ConvexRegion
@@ -62,6 +65,17 @@ class TestStructuredOnly:
         out = baseline.query_rect(Rect.full(2), [98, 99], counter)
         assert out == []
         assert counter["objects_examined"] >= len(ds)
+
+
+class TestRectDimension:
+    @pytest.mark.parametrize("cls", [KeywordsOnlyIndex, StructuredOnlyIndex])
+    def test_wrong_dimension_rejected(self, rng, cls):
+        """The containment loops zip the axes, so a rectangle of another
+        dimension is refused rather than tested on the shared axes."""
+        baseline = cls(random_dataset(rng, 40))
+        for rect in (Rect((0.0,), (5.0,)), Rect((0.0,) * 3, (5.0,) * 3)):
+            with pytest.raises(ValidationError):
+                baseline.query_rect(rect, [1, 2])
 
 
 class TestKeywordsOnly:

@@ -1,8 +1,10 @@
 """Unit tests for repro.core.planner."""
 
+import random
+
 import pytest
 
-from repro.core.planner import STRATEGIES, HybridPlanner
+from repro.core.planner import SAMPLE_SIZE, STRATEGIES, HybridPlanner
 from repro.costmodel import CostCounter
 from repro.dataset import Dataset
 from repro.errors import ValidationError
@@ -150,6 +152,47 @@ class TestEmptyDataset:
 
     def test_space_units_finite(self):
         assert HybridPlanner(Dataset.empty(2), k=2).space_units == 0
+
+
+class TestSelectivity:
+    """The estimate against a brute-force count over the sample's rows."""
+
+    @staticmethod
+    def _brute(sample, rect):
+        hits = sum(
+            1
+            for point in sample
+            if all(rect.lo[i] <= point[i] <= rect.hi[i] for i in range(len(point)))
+        )
+        return hits / len(sample)
+
+    @pytest.mark.parametrize("count", [40, 600])
+    def test_matches_brute_force_count(self, rng, count):
+        ds = random_dataset(rng, count)
+        planner = HybridPlanner(ds, k=2)
+        m = min(SAMPLE_SIZE, count)
+        sample = [tuple(row) for row in planner._sample.tolist()]
+        assert sample == random.Random(0).sample([o.point for o in ds], m)
+        rects = [Rect.full(2), Rect((20.0, 20.0), (30.0, 30.0))]
+        for _ in range(60):
+            # Corners on sample coordinates: points on the boundary count.
+            p, q = rng.sample(sample, 2)
+            rects.append(Rect([min(p[0], q[0]), min(p[1], q[1])],
+                              [max(p[0], q[0]), max(p[1], q[1])]))
+            rects.append(Rect(p, p))
+            a, b = sorted([rng.uniform(0, 10), rng.uniform(0, 10)])
+            rects.append(Rect((a, -float("inf")), (b, q[1])))
+        for rect in rects:
+            assert planner._selectivity(rect) == self._brute(sample, rect)
+            assert planner.estimate(rect, [1, 2])["selectivity"] == self._brute(
+                sample, rect
+            )
+
+    def test_empty_dataset_estimates_zero(self):
+        planner = HybridPlanner(Dataset.empty(3), k=2)
+        assert planner._sample.shape == (0, 3)
+        for rect in (Rect.full(3), Rect((0.0, 0.0, 0.0), (1.0, 1.0, 1.0))):
+            assert planner._selectivity(rect) == 0.0
 
 
 class TestStrategyOrdering:

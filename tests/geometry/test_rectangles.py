@@ -1,7 +1,11 @@
 """Unit tests for repro.geometry.rectangles."""
 
+import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ValidationError
 from repro.geometry.rectangles import Rect
@@ -132,3 +136,70 @@ class TestConstructions:
         assert a == b
         assert hash(a) == hash(b)
         assert a != Rect((0.0,), (2.0,))
+
+
+# -- an independent reference for the closed predicates -------------------------
+
+#: A coarse grid plus both infinities, so shared boundaries, zero-width
+#: sides and unbounded sides are common draws.
+GRID = (-math.inf, -1.0, -0.5, 0.0, 0.5, 1.0, math.inf)
+grid_value = st.sampled_from(GRID)
+
+
+def _ref_contains(rect, point):
+    return all(rect.lo[i] <= point[i] <= rect.hi[i] for i in range(len(rect.lo)))
+
+
+def _ref_intersects(a, b):
+    return all(a.lo[i] <= b.hi[i] and b.lo[i] <= a.hi[i] for i in range(len(a.lo)))
+
+
+def _ref_covers(a, b):
+    return all(a.lo[i] <= b.lo[i] and b.hi[i] <= a.hi[i] for i in range(len(a.lo)))
+
+
+def _grid_rect(draw, dim):
+    sides = [sorted((draw(grid_value), draw(grid_value))) for _ in range(dim)]
+    return Rect([low for low, _ in sides], [high for _, high in sides])
+
+
+@st.composite
+def grid_cases(draw):
+    dim = draw(st.sampled_from((1, 2, 3)))
+    points = draw(
+        st.lists(st.tuples(*[grid_value] * dim), min_size=0, max_size=12)
+    )
+    return _grid_rect(draw, dim), _grid_rect(draw, dim), points
+
+
+class TestPredicatesAgainstReference:
+    """The predicates against the all-over-axes formulas written out above,
+    so a fault in them cannot hide behind tests that use them as an
+    oracle."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(grid_cases())
+    def test_scalar_predicates_match_reference(self, case):
+        a, b, points = case
+        assert a.intersects(b) == _ref_intersects(a, b)
+        assert b.intersects(a) == _ref_intersects(b, a)
+        assert a.covers(b) == _ref_covers(a, b)
+        assert b.covers(a) == _ref_covers(b, a)
+        for point in points:
+            assert a.contains_point(point) == _ref_contains(a, point)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(grid_cases())
+    def test_block_mask_matches_reference_row_by_row(self, case):
+        rect, _other, points = case
+        block = np.array(points, dtype=np.float64).reshape(len(points), rect.dim)
+        mask = rect.contains_points(block)
+        assert mask.dtype == np.bool_ and mask.shape == (len(points),)
+        assert mask.tolist() == [_ref_contains(rect, point) for point in points]
+
+    def test_block_mask_on_shared_boundaries(self):
+        rect = Rect((0.0, -math.inf), (0.0, 1.0))
+        block = np.array(
+            [(0.0, 1.0), (0.0, -1e300), (-0.0, 0.5), (1e-300, 0.0), (0.0, 1.0000001)]
+        )
+        assert rect.contains_points(block).tolist() == [True, True, True, False, False]

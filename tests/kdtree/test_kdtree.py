@@ -117,6 +117,14 @@ class TestRangeQuery:
         tree.range_query(Rect((0.2, 0.2), (0.4, 0.4)), counter)
         assert counter["nodes_visited"] > 0
 
+    def test_wrong_dimension_rejected(self, rng):
+        """The containment loops zip the axes, so a rectangle of another
+        dimension is refused rather than tested on the shared axes."""
+        tree = KdTree(random_points(rng, 40))
+        for rect in (Rect((0.0,), (1.0,)), Rect((0.0,) * 3, (1.0,) * 3)):
+            with pytest.raises(ValidationError):
+                tree.range_query(rect)
+
     def test_line_stab_visits_o_sqrt_n_nodes(self, rng):
         """Standard kd-tree property: a vertical line crosses O(sqrt n) cells."""
         n = 4096

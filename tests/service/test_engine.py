@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.costmodel import CostCounter
@@ -224,13 +225,13 @@ class TestOnePlanner:
         engine = QueryEngine(random_dataset(rng, 150), max_k=3, cache_size=0)
         planner = engine._planner
         before = dict(vars(planner))
-        sample = list(planner._sample)
+        sample = planner._sample.copy()
         queries = _random_queries(rng, 30)
         assert {len(words) for _rect, words in queries} == {1, 2, 3}
         engine.batch(queries)
         engine.batch(queries, budget=8)
         assert vars(planner) == before
-        assert planner._sample == sample
+        assert np.array_equal(planner._sample, sample)
 
 
 class TestValidation:

@@ -214,6 +214,8 @@ class TestDynamicBuilds:
         assert main(["info", str(index_path)]) == 0
         info = json.loads(capsys.readouterr().out)
         assert (info["class"], info["dim"]) == (cls, 2)
+        space = info["space_units"]
+        assert type(space) is int and space > 0
 
         dataset = load_jsonl_dataset(str(dataset_file))
         expected = sorted(
