@@ -1050,6 +1050,19 @@ _PARITY_FAMILIES: Tuple[Tuple[str, _ParitySide, _ParitySide], ...] = (
             re.compile(r"(^|/)fast/(arrays|backend)\.py$"),
         ),
     ),
+    (
+        "structured-only",
+        _ParitySide(
+            "scalar (cost-model path)",
+            (("core/baselines.py", "StructuredOnlyIndex.query_rect"),),
+            re.compile(r"(^|/)(core/baselines|kdtree/tree)\.py$"),
+        ),
+        _ParitySide(
+            "vectorized (fast path)",
+            (("fast/backend.py", "VectorizedBackend.query_structured"),),
+            re.compile(r"(^|/)fast/(arrays|backend)\.py$"),
+        ),
+    ),
 )
 
 

@@ -32,13 +32,21 @@ from ..ksi.inverted import InvertedIndex
 
 
 class StructuredOnlyIndex:
-    """kd-tree region reporting + document post-filter."""
+    """kd-tree region reporting + document post-filter.
+
+    :meth:`query_rect` is the scalar path and the correctness oracle of the
+    numpy :meth:`VectorizedBackend.query_structured
+    <repro.fast.VectorizedBackend.query_structured>`, which reads
+    :attr:`tree` and serves the same rectangle queries with identical id
+    lists and cost snapshots (``tests/fast/test_backend_oracle.py``).
+    """
 
     def __init__(self, dataset: Dataset, leaf_size: int = 8):
         self.dataset = dataset
-        # A kd-tree needs at least one point; an empty dataset simply has no
-        # tree and every query reports nothing (after the usual validation).
-        self._tree = (
+        #: The kd-tree over the points, in ``dataset.objects`` order.  A
+        #: kd-tree needs at least one point; an empty dataset simply has no
+        #: tree and every query reports nothing (after the usual validation).
+        self.tree = (
             KdTree([obj.point for obj in dataset.objects], leaf_size=leaf_size)
             if dataset.objects
             else None
@@ -49,10 +57,10 @@ class StructuredOnlyIndex:
     ) -> List[KeywordObject]:
         """ORP-KW the naive way: range query, then keyword filter."""
         counter = ensure_counter(counter)
-        if self._tree is None:
+        if self.tree is None:
             validate_nonempty_keywords(keywords)
             return []
-        hits = self._tree.range_query(rect, counter)
+        hits = self.tree.range_query(rect, counter)
         return self._filter(hits, keywords, counter)
 
     def query_region(
@@ -60,10 +68,10 @@ class StructuredOnlyIndex:
     ) -> List[KeywordObject]:
         """LC/SP/SRP-KW the naive way: region query, then keyword filter."""
         counter = ensure_counter(counter)
-        if self._tree is None:
+        if self.tree is None:
             validate_nonempty_keywords(keywords)
             return []
-        hits = self._tree.region_query(region, counter)
+        hits = self.tree.region_query(region, counter)
         return self._filter(hits, keywords, counter)
 
     def query_constraints(

@@ -110,9 +110,16 @@ class HybridPlanner:
 
         The fused estimate takes ``k`` from the query's distinct keywords.
         A one-keyword query gets none: its fused route is the posting scan
-        that keywords-only already is.
+        that keywords-only already is.  A rectangle of another dimension
+        than the corpus is refused with the engines' message before the
+        sample is tested.
         """
         words = set(validate_nonempty_keywords(keywords))
+        if rect.dim != self.dataset.dim:
+            raise ValidationError(
+                f"query rectangle is {rect.dim}-dimensional, "
+                f"data is {self.dataset.dim}-dimensional"
+            )
         postings = sorted(self._inverted.frequency(w) for w in words)
         shortest = postings[0]
         count = len(self.dataset)

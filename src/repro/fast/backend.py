@@ -22,8 +22,9 @@ from ..costmodel import CostCounter, ensure_counter
 from ..dataset import Dataset, KeywordObject, validate_nonempty_keywords
 from ..errors import ValidationError
 from ..geometry.rectangles import Rect
+from ..kdtree.tree import KdTree
 from ..trace import span_for
-from .arrays import ArrayStore, charge_filter
+from .arrays import ArrayStore, charge_filter, kd_range
 
 #: An engine's executor backends: the instrumented object-at-a-time
 #: reference path, the numpy fast path it is differentially checked
@@ -42,17 +43,30 @@ def validate_backend(name: str) -> str:
 
 
 class VectorizedBackend:
-    """Numpy executor for intersection + a batched rectangle post-filter.
+    """Numpy executor for the keywords-only and structured-only strategies.
 
     ``dataset`` is the corpus; the executor reports the same
     :class:`~repro.dataset.KeywordObject` instances as the scalar path.
+    ``tree`` is the kd-tree of the :class:`StructuredOnlyIndex
+    <repro.core.baselines.StructuredOnlyIndex>` whose answers
+    :meth:`query_structured` reproduces (``None`` for an empty corpus, or
+    when only :meth:`query_rect` is used).  The backend reads it and holds
+    no copy: pickling keeps the dataset and the tree and drops the derived
+    arrays, which unpickling rebuilds.
     """
 
     name = "vectorized"
 
-    def __init__(self, dataset: Dataset):
+    def __init__(self, dataset: Dataset, tree: Optional[KdTree] = None):
         self.dataset = dataset
+        self.tree = tree
         self.store = ArrayStore(dataset)
+
+    def __getstate__(self):
+        return {"dataset": self.dataset, "tree": self.tree}
+
+    def __setstate__(self, state) -> None:
+        self.__init__(state["dataset"], state["tree"])
 
     def query_rect(
         self,
@@ -75,3 +89,34 @@ class VectorizedBackend:
                 charge_filter(counter, int(oids.size))
                 oids = oids[self.store.rect_mask(oids, rect)]
         return [self.dataset[int(oid)] for oid in oids]
+
+    def query_structured(
+        self,
+        rect: Rect,
+        keywords: Sequence[int],
+        counter: Optional[CostCounter] = None,
+    ) -> List[KeywordObject]:
+        """Vectorized ``StructuredOnlyIndex.query_rect``: the same ids in the
+        same order, the same charges, and the same snapshot where a budget
+        raises.
+
+        :func:`~repro.fast.arrays.kd_range` walks the tree (``kd-walk``
+        span), then :meth:`ArrayStore.keyword_filter` keeps the hits holding
+        every keyword (``keyword-filter`` span).  The scalar path's edges
+        hold: an empty corpus answers ``[]`` at zero cost once the keywords
+        validate, a rectangle of another dimension raises before any charge,
+        and empty keywords raise after the walk, as the scalar filter does.
+        """
+        counter = ensure_counter(counter)
+        if self.tree is None:
+            if self.dataset.objects:
+                raise ValidationError("structured-only needs the corpus's kd-tree")
+            validate_nonempty_keywords(keywords)
+            return []
+        with span_for(counter, "kd-walk", "fast"):
+            positions = kd_range(self.tree, rect, counter)
+        words = validate_nonempty_keywords(keywords)
+        with span_for(counter, "keyword-filter", "fast", candidates=int(positions.size)):
+            positions = self.store.keyword_filter(positions, words, counter)
+        objects = self.dataset.objects
+        return [objects[position] for position in positions.tolist()]

@@ -17,7 +17,11 @@ balance invariant ``|P_u| <= ceil(|P|/2^level)`` even when coordinates repeat
 — repeats are what the verbose set of §3.2 produces, so this matters.
 
 The build uses ``numpy.argpartition`` per node, giving an
-``O(|P| log |P|)``-time construction with C-speed partitioning.
+``O(|P| log |P|)``-time construction with C-speed partitioning.  It
+partitions one permutation of the point indices in place, so the points of
+every subtree sit contiguously in :attr:`KdTree.perm` in subtree order, and
+each node keeps its ``(start, end)`` span of it: a leaf's points and
+:meth:`KdTree.subtree_indices` are slices, not concatenations.
 """
 
 from __future__ import annotations
@@ -32,20 +36,27 @@ from ..geometry.rectangles import Rect
 
 
 class KdNode:
-    """One node of a kd-tree."""
+    """One node of a kd-tree.
 
-    __slots__ = ("cell", "level", "axis", "split_value", "children", "indices", "size")
+    ``start``/``end`` delimit the subtree's points in the tree's
+    :attr:`KdTree.perm`.
+    """
 
-    def __init__(self, cell: Rect, level: int):
+    __slots__ = ("cell", "level", "axis", "split_value", "children", "start", "end")
+
+    def __init__(self, cell: Rect, level: int, start: int, end: int):
         self.cell = cell
         self.level = level
         self.axis: int = -1
         self.split_value: float = float("nan")
         self.children: List["KdNode"] = []
-        #: point indices stored here (leaves only).
-        self.indices: Optional[np.ndarray] = None
-        #: |P_u| — number of points in the subtree.
-        self.size: int = 0
+        self.start = start
+        self.end = end
+
+    @property
+    def size(self) -> int:
+        """|P_u| — number of points in the subtree."""
+        return self.end - self.start
 
     @property
     def is_leaf(self) -> bool:
@@ -75,21 +86,22 @@ class KdTree:
             root_cell = Rect(lo, hi)
         if root_cell.dim != self.dim:
             raise ValidationError("root cell dimensionality mismatch")
-        self.root = self._build(np.arange(arr.shape[0]), root_cell, 0)
+        #: The point indices, permuted so that every node's subtree is the
+        #: contiguous span ``perm[node.start:node.end]``.
+        self.perm = np.arange(arr.shape[0])
+        self.root = self._build(0, arr.shape[0], root_cell, 0)
 
     # -- construction ------------------------------------------------------------
 
-    def _build(self, indices: np.ndarray, cell: Rect, level: int) -> KdNode:
-        node = KdNode(cell, level)
-        node.size = int(indices.shape[0])
-        if node.size <= self.leaf_size:
-            node.indices = indices
+    def _build(self, start: int, end: int, cell: Rect, level: int) -> KdNode:
+        node = KdNode(cell, level, start, end)
+        if end - start <= self.leaf_size:
             return node
         axis = level % self.dim
-        mid = node.size // 2
-        coords = self.points[indices, axis]
-        order = np.argpartition(coords, mid)
-        indices = indices[order]
+        mid = (end - start) // 2
+        indices = self.perm[start:end]
+        order = np.argpartition(self.points[indices, axis], mid)
+        indices[:] = indices[order]
         split_value = float(self.points[indices[mid], axis])
         # Clamp into the cell (repeated coordinates can push the median onto
         # the cell boundary; the split degenerates gracefully).
@@ -98,8 +110,8 @@ class KdTree:
         node.split_value = split_value
         left_cell, right_cell = cell.split(axis, split_value)
         node.children = [
-            self._build(indices[:mid], left_cell, level + 1),
-            self._build(indices[mid:], right_cell, level + 1),
+            self._build(start, start + mid, left_cell, level + 1),
+            self._build(start + mid, end, right_cell, level + 1),
         ]
         return node
 
@@ -118,11 +130,16 @@ class KdTree:
         return max(node.level for node in self.nodes())
 
     def subtree_indices(self, node: KdNode) -> np.ndarray:
-        """All point indices stored under ``node``."""
-        if node.is_leaf:
-            return node.indices
-        parts = [self.subtree_indices(child) for child in node.children]
-        return np.concatenate(parts) if parts else np.empty(0, dtype=int)
+        """All point indices stored under ``node``, in subtree order (a view
+        of :attr:`perm`)."""
+        return self.perm[node.start:node.end]
+
+    def check_rect(self, rect: Rect) -> None:
+        """Refuse a query rectangle of another dimension than the points."""
+        if rect.dim != self.dim:
+            raise ValidationError(
+                f"query rectangle is {rect.dim}-dimensional, data is {self.dim}-dimensional"
+            )
 
     # -- classic range reporting (the "structured only" baseline) -----------------
 
@@ -134,10 +151,7 @@ class KdTree:
         Standard kd-tree analysis: ``O(n^(1-1/d) + OUT)`` node visits for a
         d-dimensional tree on ``n`` points.
         """
-        if rect.dim != self.dim:
-            raise ValidationError(
-                f"query rectangle is {rect.dim}-dimensional, data is {self.dim}-dimensional"
-            )
+        self.check_rect(rect)
         counter = ensure_counter(counter)
         result: List[int] = []
         stack = [self.root]
@@ -147,7 +161,7 @@ class KdTree:
             if not rect.intersects(node.cell):
                 continue
             if node.is_leaf:
-                for idx in node.indices:
+                for idx in self.subtree_indices(node):
                     counter.charge("objects_examined")
                     if rect.contains_point(self.points[idx]):
                         result.append(int(idx))
@@ -183,7 +197,7 @@ class KdTree:
                     result.append(int(idx))
                 continue
             if node.is_leaf:
-                for idx in node.indices:
+                for idx in self.subtree_indices(node):
                     counter.charge("objects_examined")
                     if region.contains_point(self.points[idx]):
                         result.append(int(idx))

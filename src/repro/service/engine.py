@@ -587,14 +587,6 @@ class QueryEngine(ServingBase):
         self.max_k = max_k
         #: Tightest box around the corpus (``None`` when it is empty).
         self.bounds = _bounding_rect(dataset)
-        # The numpy mirror used for vectorized keywords-only execution.
-        # Built eagerly (it is cheap relative to the fused indexes below) so
-        # the first query does not pay a hidden build cost.
-        self._fast = (
-            VectorizedBackend(dataset)
-            if dataset.objects and self.backend != "cost_model"
-            else None
-        )
 
         if dataset.objects:
             self._index: Optional[MultiKOrpIndex] = MultiKOrpIndex(dataset, max_k)
@@ -615,20 +607,14 @@ class QueryEngine(ServingBase):
             self._structured = None
             self._keywords = None
             self._planner = None
-
-    def __getstate__(self) -> Dict[str, Any]:
-        # The array mirror is derived state: rebuild after unpickling
-        # instead of bloating index files with numpy blocks.
-        state = super().__getstate__()
-        state["_fast"] = None
-        return state
-
-    def __setstate__(self, state: Dict[str, Any]) -> None:
-        self.__dict__.update(state)
-        if self.backend != "cost_model" and self.dataset.objects:
-            from ..fast import VectorizedBackend
-
-            self._fast = VectorizedBackend(self.dataset)
+        # The numpy executor of both naive strategies, over the structured
+        # index's own kd-tree.  Built eagerly so the first query does not
+        # pay a hidden build cost; it pickles without its derived arrays.
+        self._fast = (
+            VectorizedBackend(dataset, self._structured.tree)
+            if dataset.objects and self.backend != "cost_model"
+            else None
+        )
 
     # -- planning ---------------------------------------------------------------
 
@@ -661,9 +647,11 @@ class QueryEngine(ServingBase):
         if strategy == "fused":
             return self._index.query(rect, words, counter)
         if strategy == "keywords_only":
-            if backend == "vectorized" and self._fast is not None:
+            if backend == "vectorized":
                 return self._fast.query_rect(rect, words, counter)
             return self._keywords.query_rect(rect, words, counter)
+        if backend == "vectorized":
+            return self._fast.query_structured(rect, words, counter)
         return self._structured.query_rect(rect, words, counter)
 
     # -- serving ----------------------------------------------------------------

@@ -15,10 +15,12 @@ from repro.trace.span import Tracer
 REPO_ROOT = Path(__file__).resolve().parents[2]
 SRC = REPO_ROOT / "src"
 
-#: The files participating in the keyword-intersection parity family.
+#: The files participating in the two parity families: keyword
+#: intersection, and structured-only (kd-tree walk + keyword filter).
 PARITY_FILES = [
     "repro/core/baselines.py",
     "repro/ksi/inverted.py",
+    "repro/kdtree/tree.py",
     "repro/fast/arrays.py",
     "repro/fast/backend.py",
 ]
@@ -59,6 +61,28 @@ class TestSeededMutation:
         (finding,) = findings
         assert finding.rule == "R9"
         assert "'structure_probes'" in finding.message
+        assert finding.path.endswith("fast/backend.py")
+
+    def test_deleting_the_walk_node_charge_yields_exactly_one_finding(self, tmp_path):
+        """The structured-only drill: drop the nodes_visited batch charge
+        from the vectorized kd-tree walk (``fast/arrays.py:kd_range``) and
+        R9 must report exactly one finding, in the structured-only family,
+        naming the now-unmirrored category."""
+        sandbox = _copy_parity_sandbox(tmp_path)
+        arrays = sandbox / "repro/fast/arrays.py"
+        text = arrays.read_text()
+        target = 'counter.charge("nodes_visited", used - examined)'
+        assert text.count(target) == 1, "seeded-mutation target moved; update the drill"
+        arrays.write_text(text.replace(target, "pass"))
+
+        findings = analyze_paths(
+            [sandbox], root=sandbox, rules=select_rules(["R9"])
+        )
+        assert len(findings) == 1
+        (finding,) = findings
+        assert finding.rule == "R9"
+        assert "parity family 'structured-only'" in finding.message
+        assert "'nodes_visited'" in finding.message
         assert finding.path.endswith("fast/backend.py")
 
 

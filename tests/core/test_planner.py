@@ -130,6 +130,21 @@ class TestValidation:
             with pytest.raises(ValidationError):
                 method(Rect.full(2), [])
 
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_rect_of_another_dimension_rejected(self, rng, dim):
+        """A 1-D rectangle over a 2-D corpus used to be estimated on its one
+        axis, and a 3-D one raised IndexError; both get the engines'
+        ValidationError, on an empty corpus too."""
+        rect = Rect((0.0,) * dim, (5.0,) * dim)
+        for dataset in (random_dataset(rng, 300), Dataset.empty(2)):
+            planner = HybridPlanner(dataset, k=2)
+            for method in (planner.estimate, planner.strategies_by_cost, planner.choose):
+                with pytest.raises(ValidationError) as excinfo:
+                    method(rect, [1, 2])
+                assert str(excinfo.value) == (
+                    f"query rectangle is {dim}-dimensional, data is 2-dimensional"
+                )
+
 
 class TestEmptyDataset:
     """Regression: _selectivity divided by len(sample) == 0, so the planner

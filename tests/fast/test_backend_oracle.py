@@ -15,10 +15,10 @@ from collections import Counter
 import pytest
 
 from repro.analysis.runner import analyze_paths
-from repro.core.baselines import KeywordsOnlyIndex
+from repro.core.baselines import KeywordsOnlyIndex, StructuredOnlyIndex
 from repro.costmodel import CATEGORIES, CostCounter
-from repro.dataset import Dataset, make_objects
-from repro.errors import ValidationError
+from repro.dataset import Dataset, KeywordObject, make_objects
+from repro.errors import BudgetExceeded, ValidationError
 from repro.fast import ArrayStore, VectorizedBackend, validate_backend
 from repro.geometry.rectangles import Rect
 from repro.service import QueryEngine, ShardedQueryEngine
@@ -155,8 +155,6 @@ class TestKeywordsOnlyOracle:
         # that would cross it charges only the scalar loop's units up to the
         # crossing one (examines and probes in the intersection, comparisons
         # in the rect filter).
-        from repro.errors import BudgetExceeded
-
         dataset = workload_dataset("zipf", 2)
         rect = Rect((0.0, 0.0), (10.0, 10.0))
         for words in ([1], [1, 2], [2, 3, 5]):
@@ -170,6 +168,224 @@ class TestKeywordsOnlyOracle:
                     except BudgetExceeded:
                         outcomes.append(("exceeded", counter.snapshot()))
                 assert outcomes[0] == outcomes[1], (words, budget, outcomes)
+
+
+def structured_pair(dataset: Dataset):
+    """The scalar structured-only index and a vectorized backend reading
+    its kd-tree."""
+    scalar = StructuredOnlyIndex(dataset)
+    return scalar, VectorizedBackend(dataset, scalar.tree)
+
+
+def run_both(scalar, vectorized, rect, words, budget=None, spent=0):
+    """Each path's outcome on a fresh counter (pre-charged ``spent``
+    comparisons): ("served", ids, snapshot) or ("exceeded", snapshot)."""
+    outcomes = []
+    for query in (scalar.query_rect, vectorized.query_structured):
+        counter = CostCounter(budget=budget)
+        if spent:
+            counter.charge("comparisons", spent)
+        try:
+            ids = [obj.oid for obj in query(rect, words, counter)]
+            outcomes.append(("served", ids, counter.snapshot()))
+        except BudgetExceeded:
+            outcomes.append(("exceeded", counter.snapshot()))
+    return outcomes
+
+
+def unit_labels(tree, rect, k, hits):
+    """Where each unit the scalar path charges comes from, in charge order:
+    a node visit, a point of a leaf span or of a covered span, or a keyword
+    probe (``k`` per hit) — the places a budget can cross."""
+    labels = []
+    stack = [tree.root]
+    while stack:
+        node = stack.pop()
+        labels.append("node")
+        if not rect.intersects(node.cell):
+            continue
+        if node.is_leaf or rect.covers(node.cell):
+            labels += ["leaf" if node.is_leaf else "covered"] * node.size
+            continue
+        stack.extend(node.children)
+    return labels + ["filter"] * (k * hits)
+
+
+def crossing_budgets(labels):
+    """Budgets whose crossing unit falls on each kind of place: the first,
+    a middle and the last unit of every kind, so crossings land on the
+    first and last point of a span and mid-way through a hit's probes.
+    Budget ``b`` crosses at unit ``b + 1``, the label at index ``b``."""
+    budgets = set()
+    for kind in ("node", "leaf", "covered", "filter"):
+        at = [i for i, label in enumerate(labels) if label == kind]
+        if at:
+            budgets.update((at[0], at[len(at) // 2], at[-1], at[-1] + 1))
+    return sorted(budgets)
+
+
+def points_dataset(points, seed, vocabulary=6):
+    rng = random.Random(seed)
+    docs = [rng.sample(range(1, vocabulary + 1), rng.randint(1, 3)) for _ in points]
+    return Dataset(make_objects(points, docs))
+
+
+class TestStructuredOnlyOracle:
+    """StructuredOnlyIndex.query_rect against VectorizedBackend.query_structured:
+    the same ids in the same order and the same snapshot, served or raised,
+    wherever a budget crosses."""
+
+    @pytest.mark.parametrize("workload", WORKLOADS)
+    @pytest.mark.parametrize("seed", range(3))
+    def test_rect_and_budget_sweep(self, workload, seed):
+        dataset = workload_dataset(workload, seed)
+        span = bounding_span(dataset)
+        scalar, vectorized = structured_pair(dataset)
+        rng = random.Random(seed + 900)
+        crossed = Counter()
+        for _ in range(10):
+            rect = random_rect(rng, span)
+            words = rng.sample(range(1, 9), rng.randint(1, 3))
+            served = run_both(scalar, vectorized, rect, words)
+            assert served[0] == served[1], (workload, seed, rect, words)
+            hits = len(scalar.tree.range_query(rect))
+            labels = unit_labels(scalar.tree, rect, len(words), hits)
+            assert len(labels) == served[0][2]["total"]
+            for budget in crossing_budgets(labels) + [rng.randint(0, len(labels))]:
+                outcomes = run_both(scalar, vectorized, rect, words, budget)
+                assert outcomes[0] == outcomes[1], (workload, seed, rect, words, budget)
+                if budget < len(labels):
+                    # Raised at unit budget + 1; a hit's probes land whole.
+                    crossing = budget + 1
+                    if labels[budget] == "filter":
+                        first, k = labels.index("filter"), len(words)
+                        crossing = first + ((budget - first) // k + 1) * k
+                    assert outcomes[0][0] == "exceeded"
+                    assert outcomes[0][1]["total"] == crossing
+                    crossed[labels[budget]] += 1
+            # A counter that already spent part of its budget.
+            outcomes = run_both(scalar, vectorized, rect, words, len(labels) // 2 + 3, spent=3)
+            assert outcomes[0] == outcomes[1], (workload, seed, rect, words)
+        assert {"node", "leaf", "covered", "filter"} <= set(crossed), crossed
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_dimensions_and_repeated_coordinates(self, dim):
+        rng = random.Random(dim)
+        # Half the points on a 3-value grid: repeated coordinates push
+        # medians onto cell boundaries, where the splits clamp.
+        points = [
+            tuple(rng.choice((0.0, 0.5, 1.0)) if i % 2 else rng.random() for _ in range(dim))
+            for i in range(120)
+        ]
+        dataset = points_dataset(points, seed=dim)
+        scalar, vectorized = structured_pair(dataset)
+        grid_point = next(p for i, p in enumerate(points) if i % 2)
+        rects = [
+            Rect((-1e9,) * dim, (1e9,) * dim),  # covers the root cell
+            Rect.full(dim),
+            Rect((5.0,) * dim, (6.0,) * dim),  # misses every point
+            Rect((1.2,) * dim, (1.5,) * dim),  # in the root cell, no point
+            Rect(grid_point, grid_point),  # zero area, on repeated points
+            Rect((0.5,) + (0.0,) * (dim - 1), (0.5,) + (1.0,) * (dim - 1)),  # zero width
+        ]
+        for _ in range(12):
+            corners = [sorted((rng.uniform(-0.1, 1.1), rng.uniform(-0.1, 1.1))) for _ in range(dim)]
+            rects.append(Rect([c[0] for c in corners], [c[1] for c in corners]))
+        for rect in rects:
+            for words in ([1], [2, 3], [1, 2, 3], [1, 9999]):
+                served = run_both(scalar, vectorized, rect, words)
+                assert served[0] == served[1], (dim, rect, words)
+                hits = len(scalar.tree.range_query(rect))
+                labels = unit_labels(scalar.tree, rect, len(words), hits)
+                for budget in crossing_budgets(labels):
+                    outcomes = run_both(scalar, vectorized, rect, words, budget)
+                    assert outcomes[0] == outcomes[1], (dim, rect, words, budget)
+
+    def test_objects_out_of_oid_order(self):
+        # Positions in dataset.objects are not object ids: sparse ids in
+        # shuffled order, as a shard's subset holds them.
+        rng = random.Random(5)
+        objects = [
+            KeywordObject(oid=oid, point=(rng.random(), rng.random()),
+                          doc=frozenset(rng.sample(range(1, 5), 2)))
+            for oid in rng.sample(range(10, 1000), 80)
+        ]
+        dataset = Dataset(objects)
+        scalar, vectorized = structured_pair(dataset)
+        for _ in range(20):
+            rect = random_rect(rng, 1.0)
+            words = rng.sample(range(1, 5), rng.randint(1, 2))
+            outcomes = run_both(scalar, vectorized, rect, words)
+            assert outcomes[0] == outcomes[1], (rect, words)
+
+    def test_edges_match_the_scalar_path(self):
+        dataset = workload_dataset("zipf", 0)
+        scalar, vectorized = structured_pair(dataset)
+        # A rectangle of another dimension: range_query's error, no charge.
+        for index_query in (scalar.query_rect, vectorized.query_structured):
+            counter = CostCounter()
+            with pytest.raises(ValidationError, match="1-dimensional, data is 2-dimensional"):
+                index_query(Rect((0.0,), (1.0,)), [1], counter)
+            assert counter.snapshot() == {"total": 0}
+        # Empty keywords: refused after the walk, as the scalar filter does.
+        rect = Rect((0.0, 0.0), (5.0, 5.0))
+        snapshots = []
+        for index_query in (scalar.query_rect, vectorized.query_structured):
+            counter = CostCounter()
+            with pytest.raises(ValidationError):
+                index_query(rect, [], counter)
+            snapshots.append(counter.snapshot())
+        assert snapshots[0] == snapshots[1]
+        # An empty corpus answers [] at zero cost; empty keywords still fail.
+        empty = Dataset.empty(2)
+        scalar, vectorized = structured_pair(empty)
+        assert vectorized.tree is None
+        for index_query in (scalar.query_rect, vectorized.query_structured):
+            counter = CostCounter(budget=1)
+            assert index_query(rect, [1, 2], counter) == []
+            assert counter.snapshot() == {"total": 0}
+            with pytest.raises(ValidationError):
+                index_query(rect, [], counter)
+
+    def test_backend_without_the_tree_refuses_structured_queries(self):
+        backend = VectorizedBackend(workload_dataset("zipf", 0))
+        with pytest.raises(ValidationError, match="kd-tree"):
+            backend.query_structured(Rect((0.0, 0.0), (1.0, 1.0)), [1])
+
+    def test_traced_charges_match_untraced_and_sum_to_the_spans(self):
+        dataset = workload_dataset("planted", 1)
+        scalar, vectorized = structured_pair(dataset)
+        rng = random.Random(31)
+        span = bounding_span(dataset)
+        for _ in range(10):
+            rect = random_rect(rng, span)
+            words = rng.sample(range(1, 9), rng.randint(1, 3))
+            for budget in (None, 40):
+                plain = run_both(scalar, vectorized, rect, words, budget)[1]
+                traced = CostCounter(budget=budget)
+                traced.tracer = Tracer("query", "test")
+                try:
+                    ids = [o.oid for o in vectorized.query_structured(rect, words, traced)]
+                    outcome = ("served", ids, traced.snapshot())
+                except BudgetExceeded:
+                    outcome = ("exceeded", traced.snapshot())
+                tree = traced.tracer.finish().to_dict()
+                assert outcome == plain, (rect, words, budget)
+                assert _leaf_total(tree) == traced.total
+                names = {child["name"] for child in tree.get("children") or []}
+                assert names <= {"kd-walk", "keyword-filter"} and "kd-walk" in names
+
+    def test_pickle_keeps_one_tree(self):
+        import pickle
+
+        dataset = workload_dataset("zipf", 0)
+        scalar, vectorized = structured_pair(dataset)
+        clone_scalar, clone = pickle.loads(pickle.dumps((scalar, vectorized)))
+        assert clone.tree is clone_scalar.tree and clone.dataset is clone_scalar.dataset
+        rect = Rect((0.0, 0.0), (6.0, 6.0))
+        assert run_both(clone_scalar, clone, rect, [1, 2]) == run_both(
+            scalar, vectorized, rect, [1, 2]
+        )
 
 
 class TestEngineSweep:
@@ -204,6 +420,43 @@ class TestEngineSweep:
                 assert (fast.cost, fast.fallbacks) == (twin.cost, twin.fallbacks), (
                     workload, seed, rect, words, budget,
                 )
+
+    def test_structured_only_picks_run_vectorized(self):
+        """Small squares over frequent keywords: the planner picks
+        structured-only, which ``vectorized`` and ``auto`` engines serve on
+        the numpy path (their traces hold its ``kd-walk`` span) with records
+        identical to the scalar engine's but for the backend and the trace,
+        under budgets that abandon it too."""
+        dataset = workload_dataset("zipf", 4, num_objects=600)
+        span = bounding_span(dataset)
+        frequency = Counter(word for obj in dataset.objects for word in obj.doc)
+        common = [w for w in frequency if frequency[w] >= QueryEngine.AUTO_MIN_CANDIDATES]
+        engines = {
+            backend: QueryEngine(dataset, max_k=3, cache_size=0, backend=backend, tracing=True)
+            for backend in ("cost_model", "vectorized", "auto")
+        }
+        rng = random.Random(77)
+        walked = Counter()
+        for _ in range(30):
+            side = rng.uniform(0.02, 0.3) * span
+            x, y = rng.uniform(0, span - side), rng.uniform(0, span - side)
+            rect = Rect((x, y), (x + side, y + side))
+            words = rng.sample(common, rng.randint(1, min(3, len(common))))
+            for budget in (None, 8, 60):
+                records = {}
+                for backend, engine in engines.items():
+                    engine.query(rect, words, budget=budget)
+                    record = engine.last_record.to_dict()
+                    assert _leaf_total(record["trace"]) == record["cost"]["total"]
+                    walked[backend] += "kd-walk" in _span_names(record["trace"])
+                    records[backend] = dict(record, trace=None)
+                oracle = records.pop("cost_model")
+                for backend, record in records.items():
+                    assert dict(record, backend="cost_model") == oracle, (
+                        backend, rect, words, budget,
+                    )
+        assert walked["cost_model"] == 0
+        assert walked["vectorized"] > 0 and walked["auto"] > 0
 
     @pytest.mark.parametrize("shards", [1, 3])
     def test_sharded_backends_agree(self, shards):
@@ -309,6 +562,13 @@ class TestTraceInvariant:
         store.intersect([1, 2], traced)
         traced.tracer.finish()
         assert plain.snapshot() == traced.snapshot()
+
+
+def _span_names(span_dict):
+    names = {span_dict["name"]}
+    for child in span_dict.get("children") or []:
+        names |= _span_names(child)
+    return names
 
 
 def _leaf_total(span_dict) -> int:

@@ -22,7 +22,7 @@ class TestConstruction:
         pts = random_points(rng, 33)
         tree = KdTree(pts)
         leaves = [n for n in tree.nodes() if n.is_leaf]
-        assert sum(len(leaf.indices) for leaf in leaves) == 33
+        assert sum(len(tree.subtree_indices(leaf)) for leaf in leaves) == 33
 
     def test_balanced_sizes(self, rng):
         pts = random_points(rng, 128)
@@ -52,13 +52,13 @@ class TestConstruction:
         tree = KdTree(pts)
         for node in tree.nodes():
             if node.is_leaf:
-                for idx in node.indices:
+                for idx in tree.subtree_indices(node):
                     assert node.cell.contains_point(pts[idx])
 
     def test_duplicates_supported(self):
         pts = np.array([[1.0, 1.0]] * 16 + [[2.0, 2.0]] * 16)
         tree = KdTree(pts)
-        assert sum(len(n.indices) for n in tree.nodes() if n.is_leaf) == 32
+        assert sum(len(tree.subtree_indices(n)) for n in tree.nodes() if n.is_leaf) == 32
 
     def test_custom_root_cell(self, rng):
         pts = random_points(rng, 10)
@@ -74,12 +74,32 @@ class TestConstruction:
         with pytest.raises(ValidationError):
             KdTree(np.zeros((3, 2)), root_cell=Rect((0.0,), (1.0,)))
 
+    def test_subtrees_are_contiguous_spans_of_one_permutation(self, rng):
+        # Repeated coordinates too: the splits clamp, the spans still nest.
+        pts = np.vstack([random_points(rng, 70), np.full((30, 2), 0.5)])
+        tree = KdTree(pts, leaf_size=3)
+        assert sorted(tree.perm.tolist()) == list(range(100))
+        assert (tree.root.start, tree.root.end) == (0, 100)
+        for node in tree.nodes():
+            assert node.size == node.end - node.start
+            if node.is_leaf:
+                continue
+            left, right = node.children
+            assert (left.start, left.end, right.end) == (node.start, right.start, node.end)
+            # The span is what concatenating the children's spans gave.
+            assert tree.subtree_indices(node).tolist() == (
+                tree.subtree_indices(left).tolist() + tree.subtree_indices(right).tolist()
+            )
+            for child in node.children:
+                for idx in tree.subtree_indices(child):
+                    assert child.cell.contains_point(pts[idx])
+
     def test_leaf_size_respected(self, rng):
         pts = random_points(rng, 100)
         tree = KdTree(pts, leaf_size=8)
         for node in tree.nodes():
             if node.is_leaf:
-                assert len(node.indices) <= 8
+                assert len(tree.subtree_indices(node)) <= 8
 
 
 class TestRangeQuery:

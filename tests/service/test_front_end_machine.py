@@ -8,8 +8,12 @@ In each pair the first twin serves inline and the second serves through an
 :class:`AsyncQueryEngine` on its worker pool.  After every query each
 answer must equal a brute-force scan of its live set, and after every step
 each pair's twins must hold identical records, each slice's resolved
-backend included.  The plain pair takes no writes, so its live set is the
-build corpus.  Writes run on the event-loop thread, some of them while a
+backend included.  The 3-shard pairs on the scalar and on the ``auto``
+backend are partners: they take the same rebalances, cache resizes and
+overlapped writes, and after every query they hold identical answers and
+records apart from the ``backend`` fields, so a vectorized slice must
+charge what its scalar twin charges.  The plain pair takes no writes, so
+its live set is the build corpus.  Writes run on the event-loop thread, some of them while a
 pooled query's shard calls are on the pool: that query must answer from
 the map it pinned.  Snapshots pinned on the sharded engines are held across
 later writes and rebalances: each must keep answering from the live set it
@@ -56,6 +60,8 @@ BUILDS = {
     ),
 }
 SHARDED = ("s1", "s3", "s3_auto")
+#: The pairs that differ in backend alone, driven as one.
+PARTNERS = ("s3", "s3_auto")
 #: The engine's ``auto`` threshold, restored on teardown.  No keyword of the
 #: 40-object corpus reaches it, so each machine lowers it to 4 to make
 #: ``auto`` resolve to both backends.
@@ -76,6 +82,23 @@ docs = st.lists(st.integers(1, VOCABULARY), min_size=1, max_size=3, unique=True)
 
 def _box(xs, ys):
     return Rect((min(xs), min(ys)), (max(xs), max(ys)))
+
+
+def _group(name):
+    """The pairs a rebalance, resize or overlapped write drawn for ``name``
+    applies to: both partners, or the pair alone."""
+    return PARTNERS if name in PARTNERS else (name,)
+
+
+def _but_backend(record):
+    """A record's JSON view without its and its slices' ``backend``."""
+    view = record.to_dict()
+    del view["backend"]
+    view["shards"] = [
+        {key: value for key, value in entry.items() if key != "backend"}
+        for entry in view["shards"]
+    ]
+    return view
 
 
 class FrontEndMachine(RuleBasedStateMachine):
@@ -155,8 +178,9 @@ class FrontEndMachine(RuleBasedStateMachine):
         self._serve(*data.draw(st.sampled_from(self.asked), label="query"))
 
     def _serve(self, rect, keywords, budget):
+        answers = {}
         for name, (inline, pooled, front) in self.pairs.items():
-            answer = inline.query(rect, keywords, budget=budget)
+            answer = answers[name] = inline.query(rect, keywords, budget=budget)
             pooled_answer = self.loop.run_until_complete(
                 front.query(rect, keywords, budget=budget)
             )
@@ -169,6 +193,14 @@ class FrontEndMachine(RuleBasedStateMachine):
             assert sorted(obj.oid for obj in answer) == expected, name
             assert pooled_answer == answer, name
             assert pooled.last_record.to_dict() == inline.last_record.to_dict(), name
+        self._partners_agree(answers)
+
+    def _partners_agree(self, answers):
+        scalar, auto = PARTNERS
+        assert answers[scalar] == answers[auto]
+        assert _but_backend(self.pairs[scalar][0].last_record) == _but_backend(
+            self.pairs[auto][0].last_record
+        )
 
     @rule(data=st.data(), doc=docs)
     def insert(self, data, doc):
@@ -208,37 +240,46 @@ class FrontEndMachine(RuleBasedStateMachine):
         """Open a pooled query, yield once so its shard calls are on the
         pool, then insert or delete on the loop thread: the query answers
         from the map it pinned, as its inline twin did before the write."""
-        name = data.draw(st.sampled_from(SHARDED), label="pair")
+        names = _group(data.draw(st.sampled_from(SHARDED), label="pair"))
         rect = data.draw(self._rects(), label="rect")
         if self.live and data.draw(st.booleans(), label="delete"):
             oid = data.draw(st.sampled_from(sorted(self.live)), label="oid")
             write = partial(self._delete, oid)
         else:
             write = partial(self._insert, data.draw(self._points(), label="point"), doc)
-        inline, _pooled, front = self.pairs[name]
         self.asked.append((rect, keywords, budget))
         expected = sorted(
             oid
             for oid, obj in self.live.items()
             if rect.contains_point(obj.point) and set(keywords) <= obj.doc
         )
-        answer = inline.query(rect, keywords, budget=budget)
+        answers = {
+            name: self.pairs[name][0].query(rect, keywords, budget=budget)
+            for name in names
+        }
 
         async def overlap():
-            pending = asyncio.ensure_future(front.query(rect, keywords, budget=budget))
+            pending = [
+                asyncio.ensure_future(self.pairs[name][2].query(rect, keywords, budget=budget))
+                for name in names
+            ]
             await asyncio.sleep(0)
             write()
-            return await pending
+            return await asyncio.gather(*pending)
 
-        pooled_answer = self.loop.run_until_complete(overlap())
-        assert sorted(obj.oid for obj in answer) == expected, name
-        assert pooled_answer == answer, name
+        pooled_answers = self.loop.run_until_complete(overlap())
+        for name, pooled_answer in zip(names, pooled_answers):
+            assert sorted(obj.oid for obj in answers[name]) == expected, name
+            assert pooled_answer == answers[name], name
+        if names == PARTNERS:
+            self._partners_agree(answers)
 
     @rule(name=st.sampled_from(SHARDED), shards=st.integers(1, 4))
     def rebalance(self, name, shards):
-        inline, pooled, _front = self.pairs[name]
-        inline.rebalance(shards=shards)
-        pooled.rebalance(shards=shards)
+        for member in _group(name):
+            inline, pooled, _front = self.pairs[member]
+            inline.rebalance(shards=shards)
+            pooled.rebalance(shards=shards)
 
     @rule(data=st.data())
     def pin(self, data):
@@ -255,9 +296,10 @@ class FrontEndMachine(RuleBasedStateMachine):
 
     @rule(name=st.sampled_from(sorted(BUILDS)), capacity=st.integers(0, 6))
     def resize_cache(self, name, capacity):
-        inline, pooled, _front = self.pairs[name]
-        inline.cache.resize(capacity)
-        pooled.cache.resize(capacity)
+        for member in _group(name):
+            inline, pooled, _front = self.pairs[member]
+            inline.cache.resize(capacity)
+            pooled.cache.resize(capacity)
 
     # -- invariants --------------------------------------------------------------
 
@@ -267,6 +309,13 @@ class FrontEndMachine(RuleBasedStateMachine):
             assert [record.to_dict() for record in pooled.records] == [
                 record.to_dict() for record in inline.records
             ], name
+
+    @invariant()
+    def partners_hold_identical_records_but_the_backend(self):
+        scalar, auto = (self.pairs[name][0] for name in PARTNERS)
+        assert [_but_backend(r) for r in auto.records] == [
+            _but_backend(r) for r in scalar.records
+        ]
 
     @invariant()
     def sharded_engines_hold_the_live_set(self):

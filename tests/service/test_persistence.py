@@ -81,10 +81,11 @@ class TestFormatVersionGuard:
         """Format 1 is the layout before one planner per engine, format 3
         the one before the LC-KW/SRP-KW backend and ``Dynamized``'s
         telemetry went, format 4 the one whose planner sample was a list of
-        point tuples; their files are refused, not migrated, even when the
+        point tuples, format 5 the one whose kd-tree leaves held their own
+        index arrays; their files are refused, not migrated, even when the
         stored object would load."""
         engine = QueryEngine(random_dataset(rng, 30), max_k=2)
-        for old in (1, 3, 4):
+        for old in (1, 3, 4, 5):
             envelope = {
                 "magic": MAGIC,
                 "format": old,
