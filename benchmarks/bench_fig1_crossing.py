@@ -41,7 +41,7 @@ def _rows():
 
         # Raw kd-tree crossing count for a vertical line (rank space: the
         # object ranks span [0, |D|), not [0, N)).
-        tree = index._transform.tree
+        tree = index.kd_tree()
         mid = len(ds) / 2.0
         line = Rect((mid, -1.0), (mid, float(len(ds)) + 1.0))
         cross_line = tree.count_crossing_nodes(line)

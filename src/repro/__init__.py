@@ -42,7 +42,6 @@ from .core import (
     SpKwIndex,
     SrpKwIndex,
 )
-from .rangetree import RangeTree2D
 from .intervaltree import IntervalTree
 from .core.planner import HybridPlanner
 from .text import Vocabulary, dataset_from_texts, tokenize
@@ -111,7 +110,6 @@ __all__ = [
     "DynamicSrpKw",
     "IrTree",
     "MultiKOrpIndex",
-    "RangeTree2D",
     "IntervalTree",
     "HybridPlanner",
     "Vocabulary",

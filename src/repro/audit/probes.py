@@ -258,15 +258,16 @@ def space_report(index, per_unit_cap: float, scale: float = 1.0) -> StructuralRe
 def engine_reports(engine, seed: int = 17) -> List[StructuralReport]:
     """Structural probes for a :class:`~repro.service.engine.QueryEngine`.
 
-    Probes the k=2 fused index's kd-tree (Fig. 1) when one exists, plus the
-    engine's overall space.  Returns the reports without registering them —
+    Probes the k=2 fused index's kd-tree (Fig. 1), rebuilt whole from its
+    rank objects, when one exists, plus the engine's overall space.  Returns
+    the reports without registering them —
     :meth:`QueryEngine.probe_structure` registers into ``engine.metrics``.
     """
     reports: List[StructuralReport] = []
     index = getattr(engine, "_index", None)
     if index is not None and engine.max_k >= 2:
         fused = index.fused_for(2)
-        reports.append(kd_crossing_report(fused._transform.tree))
+        reports.append(kd_crossing_report(fused.kd_tree()))
     reports.append(space_report(engine, per_unit_cap=64.0))
     return reports
 

@@ -159,6 +159,16 @@ def _planted(num: int, dim: int, out: int = PLANTED_OUT):
     )
 
 
+def _t1_1_index(num: int) -> OrpKwIndex:
+    """T1.1's empty-output build; the Lemma-10 probe measures the largest."""
+    return OrpKwIndex(disjoint_pair_dataset(num, dim=2, seed=3), k=2)
+
+
+def _t1_5_index(num: int, seed: int) -> LinfNnIndex:
+    """T1.5's N-sweep build; the Lemma-10 probe measures the largest."""
+    return LinfNnIndex(_zipf(num, dim=2, seed=seed), k=2)
+
+
 def _run_t1_1(mode: ModeConfig, seed: int, registry):
     sweeps: Dict[str, List[Dict[str, Any]]] = {
         "empty_out": [], "planted_n": [], "planted_out": [],
@@ -166,14 +176,13 @@ def _run_t1_1(mode: ModeConfig, seed: int, registry):
     structural: List[StructuralReport] = []
     index = None
     for num in mode.sweep_objects:
-        ds = disjoint_pair_dataset(num, dim=2, seed=3)
-        index = OrpKwIndex(ds, k=2)
+        index = _t1_1_index(num)
         measured = measure_query(
             lambda c: index.query(Rect.full(2), [1, 2], counter=c), registry
         )
         sweeps["empty_out"].append(_point("N", index.input_size, measured))
     # Structural health on the largest build.
-    structural.append(kd_crossing_report(index._transform.tree))
+    structural.append(kd_crossing_report(index.kd_tree()))
     structural.append(space_report(index, per_unit_cap=64.0))
 
     for num in mode.sweep_objects:
@@ -222,14 +231,13 @@ def _run_t1_5(mode: ModeConfig, seed: int, registry):
     q = (0.5, 0.5)
     index = None
     for num in mode.sweep_objects:
-        ds = _zipf(num, dim=2, seed=seed)
-        index = LinfNnIndex(ds, k=2)
+        index = _t1_5_index(num, seed)
         measured = measure_query(
             lambda c: index.query(q, 4, [1, 2], counter=c), registry
         )
         sweeps["n_sweep"].append(_point("N", index.input_size, measured))
     structural = [
-        kd_crossing_report(index._index._transform.tree),
+        kd_crossing_report(index._index.kd_tree()),
         space_report(index, per_unit_cap=64.0),
     ]
 

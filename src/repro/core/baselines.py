@@ -23,7 +23,6 @@ from ..dataset import (
     RectangleObject,
     validate_nonempty_keywords,
 )
-from ..errors import ValidationError
 from ..geometry.halfspaces import HalfSpace
 from ..geometry.rectangles import Rect
 from ..geometry.regions import ConvexRegion
@@ -58,6 +57,7 @@ class StructuredOnlyIndex:
         """ORP-KW the naive way: range query, then keyword filter."""
         counter = ensure_counter(counter)
         if self.tree is None:
+            rect.require_dim(self.dataset.dim)
             validate_nonempty_keywords(keywords)
             return []
         hits = self.tree.range_query(rect, counter)
@@ -117,11 +117,7 @@ class KeywordsOnlyIndex:
     def query_rect(
         self, rect: Rect, keywords: Sequence[int], counter: Optional[CostCounter] = None
     ) -> List[KeywordObject]:
-        if rect.dim != self.dataset.dim:
-            raise ValidationError(
-                f"query rectangle is {rect.dim}-dimensional, "
-                f"data is {self.dataset.dim}-dimensional"
-            )
+        rect.require_dim(self.dataset.dim)
         return self.query_predicate(rect.contains_point, keywords, counter)
 
     def query_region(

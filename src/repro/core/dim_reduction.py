@@ -150,10 +150,7 @@ class DimReductionOrpKw:
         stats: Optional[DrStats] = None,
     ) -> List[KeywordObject]:
         """Report ``q ∩ D(w1..wk)`` for the d-rectangle ``rect``."""
-        if rect.dim != self.dim:
-            raise ValidationError(
-                f"query rectangle is {rect.dim}-dimensional, data is {self.dim}-dimensional"
-            )
+        rect.require_dim(self.dim)
         words = validate_query_keywords(keywords, self.k)
         counter = ensure_counter(counter)
         result: List[KeywordObject] = []

@@ -56,20 +56,34 @@ class OrpKwIndex:
         ]
         self._originals: List[KeywordObject] = list(dataset.objects)
 
-        # Step 1: kd-tree on the verbose set, with a root cell strictly
-        # enclosing all rank coordinates (so no data point lies on the root
-        # boundary, mirroring the paper's root cell R^d).
-        count = len(self._rank_objects)
-        root_cell = Rect((-1.0,) * self.dim, (float(count),) * self.dim)
-        tree = KdTree(
-            verbose_points(self._rank_objects), leaf_size=1, root_cell=root_cell
+        # Steps 1-3: the kd-tree on the verbose set, split only as deep as the
+        # generic transform descends, which keeps no reference to it.
+        self._transform = KeywordTransform(
+            self._rank_objects, self._verbose_tree(lazy=True), k,
+            threshold_scale=threshold_scale, component="orp_kw",
         )
 
-        # Steps 2 + 3 live in the generic transform.
-        self._transform = KeywordTransform(
-            self._rank_objects, tree, k, threshold_scale=threshold_scale,
-            component="orp_kw",
+    def _verbose_tree(self, lazy: bool) -> KdTree:
+        # A root cell strictly enclosing all rank coordinates, so no data
+        # point lies on the root boundary (mirroring the paper's root cell
+        # R^d), and every object lies in the open root cell.
+        count = len(self._rank_objects)
+        root_cell = Rect((-1.0,) * self.dim, (float(count),) * self.dim)
+        return KdTree(
+            verbose_points(self._rank_objects), leaf_size=1, root_cell=root_cell,
+            lazy=lazy,
         )
+
+    def kd_tree(self) -> KdTree:
+        """The whole leaf-size-1 kd-tree over the rank-space verbose set.
+
+        The index stores only the prefix of this tree its transform keeps and
+        holds no tree after its build, so this builds the tree anew.  The
+        Lemma-10 probe (:func:`~repro.audit.probes.kd_crossing_report`)
+        measures it; the transform's nodes hold the same cells on the paths
+        they share.
+        """
+        return self._verbose_tree(lazy=False)
 
     # -- queries ---------------------------------------------------------------------
 
@@ -86,10 +100,7 @@ class OrpKwIndex:
         The rectangle is given in *original* coordinates; the O(log N)
         rank-space conversion of §3.4 happens internally.
         """
-        if rect.dim != self.dim:
-            raise ValidationError(
-                f"query rectangle is {rect.dim}-dimensional, data is {self.dim}-dimensional"
-            )
+        rect.require_dim(self.dim)
         words = validate_query_keywords(keywords, self.k)
         rank_rect = self._rank_map.rect_to_rank(rect, counter)
         found = self._transform.query(

@@ -115,11 +115,7 @@ class HybridPlanner:
         sample is tested.
         """
         words = set(validate_nonempty_keywords(keywords))
-        if rect.dim != self.dataset.dim:
-            raise ValidationError(
-                f"query rectangle is {rect.dim}-dimensional, "
-                f"data is {self.dataset.dim}-dimensional"
-            )
+        rect.require_dim(self.dataset.dim)
         postings = sorted(self._inverted.frequency(w) for w in words)
         shortest = postings[0]
         count = len(self.dataset)

@@ -13,7 +13,10 @@ Step 2 — objects are distributed over the tree: an object in a node's
 active set is *pushed down* into the child whose cell interior contains it;
 objects landing on a child-cell boundary join the node's *pivot set*.
 Keywords are classified large/small per node and small keywords'
-active lists are materialized (see :mod:`repro.core.keywords`).
+active lists are materialized (see :mod:`repro.core.keywords`).  On a
+kd-tree every active object lies in its node's open cell, so one comparison
+on the split axis places it: below the split value it goes left, above it
+right, and on it it is a pivot.
 
 Step 3 — queries descend from the root: pivot sets are scanned at every
 visited node; descent continues into a child only when all ``k`` query
@@ -27,7 +30,10 @@ ORP-KW, §3.4; index-order tie-breaking inside the tree builders otherwise).
 The framework stops *storing* structure below any node where fewer than
 ``k`` keywords are large: no query can descend past such a node (a query
 needs ``k`` distinct large keywords to continue), so children, emptiness
-tables and deeper materialized lists would be dead weight.
+tables and deeper materialized lists would be dead weight.  A kd-tree is
+therefore split only as deep as the build descends (:meth:`KdTree.split
+<repro.kdtree.tree.KdTree.split>` on a lazy tree), and the transform keeps no
+reference to the tree once built: its nodes carry the cells they need.
 """
 
 from __future__ import annotations
@@ -38,6 +44,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple  # noqa: F401
 from ..costmodel import CostCounter, ensure_counter
 from ..dataset import KeywordObject
 from ..geometry.rectangles import Rect
+from ..kdtree.tree import KdNode
 from .keywords import large_small_split, node_weight, nonempty_combinations
 
 
@@ -46,6 +53,45 @@ def _interior_contains(cell, point: Sequence[float]) -> bool:
     if isinstance(cell, Rect):
         return cell.interior_contains(point)
     return all(h.strictly_contains(point) for h in cell.halfspaces)
+
+
+def _push_down(tree, tree_node, active: List[KeywordObject]):
+    """Split ``tree_node``'s active objects over its children.
+
+    Returns the children, one bucket of objects per child, and the pivots.
+    A kd node is split here, on first use, and each object is placed by one
+    comparison on the split axis; that matches the open-cell test exactly
+    because every active object lies in its node's open cell.  A partition
+    tree is built whole and its convex cells take the generic test.
+    """
+    pivot: List[KeywordObject] = []
+    if isinstance(tree_node, KdNode):
+        children = tree.split(tree_node)
+        if not children:
+            return children, [], pivot
+        left: List[KeywordObject] = []
+        right: List[KeywordObject] = []
+        axis, value = tree_node.axis, tree_node.split_value
+        for obj in active:
+            coord = obj.point[axis]
+            if coord < value:
+                left.append(obj)
+            elif coord > value:
+                right.append(obj)
+            else:
+                pivot.append(obj)
+        return children, [left, right], pivot
+    children = tree_node.children
+    child_cells = [child.cell for child in children]
+    buckets: List[List[KeywordObject]] = [[] for _ in child_cells]
+    for obj in active:
+        for child_idx, cell in enumerate(child_cells):
+            if _interior_contains(cell, obj.point):
+                buckets[child_idx].append(obj)
+                break
+        else:
+            pivot.append(obj)
+    return children, buckets, pivot
 
 
 class _SearchDone(Exception):
@@ -147,9 +193,13 @@ class KeywordTransform:
     objects:
         The dataset ``D``.
     tree:
-        A built :class:`~repro.kdtree.tree.KdTree` or
+        A :class:`~repro.kdtree.tree.KdTree` or a built
         :class:`~repro.partitiontree.tree.PartitionTree` over the verbose
-        point set of ``objects`` (callers use :func:`verbose_points`).
+        point set of ``objects`` (callers use :func:`verbose_points`).  The
+        build splits a kd-tree where it descends, so pass it lazy to build
+        only the nodes the transform keeps; every object must lie in the
+        open root cell, as it does for the kd-tree's default root cell.  The
+        transform does not keep the tree.
     k:
         Fixed number of query keywords (``>= 2``).
     threshold_scale:
@@ -173,43 +223,35 @@ class KeywordTransform:
         self.k = k
         self.component = component
         self.objects = list(objects)
-        self.tree = tree
         self.threshold_scale = threshold_scale
         self.input_size = node_weight(self.objects)
         candidates = set()
         for obj in self.objects:
             candidates.update(obj.doc)
-        self.root = self._build(tree.root, self.objects, candidates)
+        self.root = self._build(tree, tree.root, self.objects, candidates)
 
     # -- construction (§3.2) ------------------------------------------------------
 
     def _build(
         self,
+        tree,
         tree_node,
         active: List[KeywordObject],
         candidates: Set[int],
     ) -> TransformNode:
         weight = node_weight(active)
         node = TransformNode(tree_node.cell, tree_node.level, weight)
-
-        if tree_node.is_leaf or not active:
-            # True leaf: the pivot set is the whole active set.
-            node.pivot = active
+        if not active:
             return node
 
         # Distribute: push each object into the unique child whose cell
         # interior contains it; boundary objects become pivots.
-        child_cells = [child.cell for child in tree_node.children]
-        buckets: List[List[KeywordObject]] = [[] for _ in child_cells]
-        for obj in active:
-            placed = False
-            for child_idx, cell in enumerate(child_cells):
-                if _interior_contains(cell, obj.point):
-                    buckets[child_idx].append(obj)
-                    placed = True
-                    break
-            if not placed:
-                node.pivot.append(obj)
+        children, buckets, pivot = _push_down(tree, tree_node, active)
+        if not children:
+            # True leaf: the pivot set is the whole active set.
+            node.pivot = active
+            return node
+        node.pivot = pivot
 
         large, materialized = self._classify(active, candidates, weight)
         node.large = large
@@ -220,8 +262,8 @@ class KeywordTransform:
             # everything below is covered by the materialized lists.
             return node
 
-        for child_tree_node, bucket in zip(tree_node.children, buckets):
-            child = self._build(child_tree_node, bucket, set(large))
+        for child_tree_node, bucket in zip(children, buckets):
+            child = self._build(tree, child_tree_node, bucket, set(large))
             node.children.append(child)
             node.combos.append(nonempty_combinations(bucket, large, self.k))
         return node

@@ -198,7 +198,7 @@ def kd_range(tree: KdTree, rect: Rect, counter: CostCounter) -> np.ndarray:
     are gathered from :attr:`~repro.kdtree.tree.KdTree.perm` in walk order
     and the leaf spans tested in one :meth:`Rect.contains_points` pass.
     """
-    tree.check_rect(rect)
+    rect.require_dim(tree.dim)
     remaining = counter.remaining
     # Unbudgeted, the limit is out of reach: a walk visits each node once
     # (fewer than 2n of them) and examines each point once.

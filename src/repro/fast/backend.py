@@ -111,6 +111,7 @@ class VectorizedBackend:
         if self.tree is None:
             if self.dataset.objects:
                 raise ValidationError("structured-only needs the corpus's kd-tree")
+            rect.require_dim(self.dataset.dim)
             validate_nonempty_keywords(keywords)
             return []
         with span_for(counter, "kd-walk", "fast"):

@@ -63,6 +63,13 @@ class Rect:
         """Dimensionality d."""
         return len(self.lo)
 
+    def require_dim(self, dim: int) -> None:
+        """Refuse this rectangle as a query over ``dim``-dimensional data."""
+        if self.dim != dim:
+            raise ValidationError(
+                f"query rectangle is {self.dim}-dimensional, data is {dim}-dimensional"
+            )
+
     def interval(self, axis: int) -> Tuple[float, float]:
         """Projection onto ``axis`` (the paper's ``q[i]``)."""
         return (self.lo[axis], self.hi[axis])

@@ -22,6 +22,13 @@ partitions one permutation of the point indices in place, so the points of
 every subtree sit contiguously in :attr:`KdTree.perm` in subtree order, and
 each node keeps its ``(start, end)`` span of it: a leaf's points and
 :meth:`KdTree.subtree_indices` are slices, not concatenations.
+
+One split is :meth:`KdTree.split`, and the eager build applies it to every
+node.  A split permutes only its node's own span, so a node's children do
+not depend on when, or whether, any other node is split: a tree built with
+``lazy=True`` and split only where a caller descends (the keyword transform
+of :mod:`repro.core.transform` does) holds exactly the eager tree's nodes on
+those paths.
 """
 
 from __future__ import annotations
@@ -64,13 +71,19 @@ class KdNode:
 
 
 class KdTree:
-    """kd-tree over ``points`` (an ``(n, d)`` array; duplicates allowed)."""
+    """kd-tree over ``points`` (an ``(n, d)`` array; duplicates allowed).
+
+    ``lazy=True`` builds the root alone, and :meth:`split` grows the tree one
+    node at a time.  The queries below walk whatever has been split, so they
+    are for eager trees.
+    """
 
     def __init__(
         self,
         points: Sequence[Sequence[float]],
         leaf_size: int = 1,
         root_cell: Optional[Rect] = None,
+        lazy: bool = False,
     ):
         arr = np.asarray(points, dtype=float)
         if arr.ndim != 2 or arr.shape[0] == 0:
@@ -89,15 +102,22 @@ class KdTree:
         #: The point indices, permuted so that every node's subtree is the
         #: contiguous span ``perm[node.start:node.end]``.
         self.perm = np.arange(arr.shape[0])
-        self.root = self._build(0, arr.shape[0], root_cell, 0)
+        self.root = KdNode(root_cell, 0, 0, arr.shape[0])
+        if not lazy:
+            stack = [self.root]
+            while stack:
+                stack.extend(self.split(stack.pop()))
 
     # -- construction ------------------------------------------------------------
 
-    def _build(self, start: int, end: int, cell: Rect, level: int) -> KdNode:
-        node = KdNode(cell, level, start, end)
-        if end - start <= self.leaf_size:
-            return node
-        axis = level % self.dim
+    def split(self, node: KdNode) -> List[KdNode]:
+        """Split ``node`` at the index median of its points, once, and return
+        its children; a node of at most ``leaf_size`` points is a leaf and has
+        none."""
+        if node.children or node.size <= self.leaf_size:
+            return node.children
+        start, end, cell = node.start, node.end, node.cell
+        axis = node.level % self.dim
         mid = (end - start) // 2
         indices = self.perm[start:end]
         order = np.argpartition(self.points[indices, axis], mid)
@@ -110,10 +130,10 @@ class KdTree:
         node.split_value = split_value
         left_cell, right_cell = cell.split(axis, split_value)
         node.children = [
-            self._build(start, start + mid, left_cell, level + 1),
-            self._build(start + mid, end, right_cell, level + 1),
+            KdNode(left_cell, node.level + 1, start, start + mid),
+            KdNode(right_cell, node.level + 1, start + mid, end),
         ]
-        return node
+        return node.children
 
     # -- traversal ---------------------------------------------------------------
 
@@ -134,13 +154,6 @@ class KdTree:
         of :attr:`perm`)."""
         return self.perm[node.start:node.end]
 
-    def check_rect(self, rect: Rect) -> None:
-        """Refuse a query rectangle of another dimension than the points."""
-        if rect.dim != self.dim:
-            raise ValidationError(
-                f"query rectangle is {rect.dim}-dimensional, data is {self.dim}-dimensional"
-            )
-
     # -- classic range reporting (the "structured only" baseline) -----------------
 
     def range_query(
@@ -151,7 +164,7 @@ class KdTree:
         Standard kd-tree analysis: ``O(n^(1-1/d) + OUT)`` node visits for a
         d-dimensional tree on ``n`` points.
         """
-        self.check_rect(rect)
+        rect.require_dim(self.dim)
         counter = ensure_counter(counter)
         result: List[int] = []
         stack = [self.root]

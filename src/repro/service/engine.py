@@ -219,11 +219,8 @@ class ServingBase:
             raise ValidationError(
                 f"{len(words)} distinct keywords exceed max_k={self.max_k}"
             )
-        if self.dataset.dim is not None and rect.dim != self.dataset.dim:
-            raise ValidationError(
-                f"query rectangle is {rect.dim}-dimensional, "
-                f"data is {self.dataset.dim}-dimensional"
-            )
+        if self.dataset.dim is not None:
+            rect.require_dim(self.dataset.dim)
         return rect, words
 
     def _begin(

@@ -1,5 +1,7 @@
 """Structural probe tests: bounds, gauge registration, engine integration."""
 
+import pathlib
+
 import pytest
 
 from repro.audit.probes import (
@@ -41,7 +43,7 @@ def dataset_3d():
 class TestProbeReports:
     def test_kd_crossing_within_lemma10(self, dataset_2d):
         index = OrpKwIndex(dataset_2d, k=2)
-        report = kd_crossing_report(index._transform.tree)
+        report = kd_crossing_report(index.kd_tree())
         assert report.ok
         assert report.values["max_line_crossing_nodes"] <= report.bounds[
             "max_line_crossing_nodes"
@@ -73,7 +75,7 @@ class TestProbeReports:
         import json
 
         index = OrpKwIndex(dataset_2d, k=2)
-        data = kd_crossing_report(index._transform.tree).to_dict()
+        data = kd_crossing_report(index.kd_tree()).to_dict()
         assert list(data["values"]) == sorted(data["values"])
         json.dumps(data)
 
@@ -113,3 +115,29 @@ class TestEngineIntegration:
         engine = QueryEngine(dataset_2d, max_k=2)
         engine_reports(engine)
         assert engine.stats()["metrics"]["gauges"] == {}
+
+
+class TestCommittedKdCrossing:
+    """The Lemma-10 probe's values on the largest T1.1 and T1.5 builds equal
+    the committed baselines exactly, not only within the bound: a probe of
+    anything but the whole kd-tree reads fewer crossing nodes and still
+    passes the bound."""
+
+    @pytest.mark.parametrize("row", ["T1.1", "T1.5"])
+    def test_values_equal_the_committed_baseline(self, row):
+        from repro.audit.baseline import load_report, round_floats
+        from repro.audit.sweeps import MODES, _t1_1_index, _t1_5_index
+
+        root = pathlib.Path(__file__).resolve().parents[2]
+        committed = load_report(root, row)
+        expected = next(
+            report for report in committed["structural"]
+            if report["probe"] == "kd_crossing"
+        )
+        largest = MODES[committed["mode"]].sweep_objects[-1]
+        if row == "T1.1":
+            index = _t1_1_index(largest)
+        else:
+            index = _t1_5_index(largest, committed["seed"])._index
+        report = kd_crossing_report(index.kd_tree()).to_dict()
+        assert round_floats(report) == expected

@@ -1,9 +1,13 @@
 """Unit tests for repro.core.transform (the §3 framework)."""
 
+import gc
 import math
+import types
 
 import pytest
 
+from repro.core.keywords import node_weight
+from repro.core.orp_kw import OrpKwIndex
 from repro.core.transform import KeywordTransform, QueryStats, verbose_points
 from repro.costmodel import CostCounter
 from repro.dataset import Dataset, make_objects
@@ -105,6 +109,83 @@ class TestStructuralInvariants:
         ds = Dataset(make_objects(points, docs))
         transform = build_transform(ds)
         assert transform.max_pivot_size() <= 4
+
+
+def stored_objects(node):
+    """Every object the transform stores at or below ``node``."""
+    found = []
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        found.extend(node.pivot)
+        for members in node.materialized.values():
+            found.extend(members)
+        stack.extend(node.children)
+    return found
+
+
+class TestKdPrefix:
+    """The build splits the kd-tree only where it descends and places each
+    object with one comparison on the split axis.  Its nodes must be the
+    whole tree's on the same paths, holding exactly the objects the open-cell
+    rule of §3.2 gives them."""
+
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("integer_coords", [False, True])
+    def test_nodes_match_the_whole_tree_and_the_open_cell_rule(
+        self, rng, k, integer_coords
+    ):
+        ds = random_dataset(
+            rng, 400, vocabulary=6, integer_coords=integer_coords
+        )
+        index = OrpKwIndex(ds, k=k)
+        full = index.kd_tree()
+        pivots = 0
+        stack = [(index._transform.root, full.root, index._rank_objects)]
+        while stack:
+            node, kd_node, active = stack.pop()
+            assert (node.cell.lo, node.cell.hi) == (kd_node.cell.lo, kd_node.cell.hi)
+            assert node.level == kd_node.level
+            assert node.weight == node_weight(active)
+            if not kd_node.children or not active:
+                assert node.pivot == active and not node.children
+                continue
+            cells = [child.cell for child in kd_node.children]
+            buckets = [
+                [obj for obj in active if cell.interior_contains(obj.point)]
+                for cell in cells
+            ]
+            in_a_child = {obj.oid for bucket in buckets for obj in bucket}
+            assert node.pivot == [obj for obj in active if obj.oid not in in_a_child]
+            pivots += len(node.pivot)
+            for obj in node.pivot:
+                assert not any(cell.interior_contains(obj.point) for cell in cells)
+            for child in node.children:
+                assert all(
+                    child.cell.interior_contains(obj.point)
+                    for obj in stored_objects(child)
+                )
+            if node.children:
+                assert len(node.children) == len(kd_node.children)
+                stack.extend(zip(node.children, kd_node.children, buckets))
+        # The root splits at one of its own objects, so the pivot rule ran.
+        assert pivots > 0
+
+    def test_no_kd_tree_is_kept(self, rng):
+        from repro.kdtree.tree import KdNode, KdTree
+
+        index = OrpKwIndex(random_dataset(rng, 200), k=2)
+        seen, stack = set(), [index]
+        while stack:
+            obj = stack.pop()
+            # Classes, modules and functions lead to the whole process.
+            outside = (type, types.ModuleType, types.FunctionType)
+            if id(obj) in seen or isinstance(obj, outside):
+                continue
+            seen.add(id(obj))
+            assert not isinstance(obj, (KdTree, KdNode))
+            stack.extend(gc.get_referents(obj))
+        assert len(seen) > 200
 
 
 class TestQueries:

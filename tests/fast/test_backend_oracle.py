@@ -336,7 +336,8 @@ class TestStructuredOnlyOracle:
                 index_query(rect, [], counter)
             snapshots.append(counter.snapshot())
         assert snapshots[0] == snapshots[1]
-        # An empty corpus answers [] at zero cost; empty keywords still fail.
+        # An empty corpus answers [] at zero cost; empty keywords and a
+        # rectangle of another dimension still fail.
         empty = Dataset.empty(2)
         scalar, vectorized = structured_pair(empty)
         assert vectorized.tree is None
@@ -346,6 +347,9 @@ class TestStructuredOnlyOracle:
             assert counter.snapshot() == {"total": 0}
             with pytest.raises(ValidationError):
                 index_query(rect, [], counter)
+            with pytest.raises(ValidationError, match="3-dimensional, data is 2-dimensional"):
+                index_query(Rect((0.0,) * 3, (1.0,) * 3), [1], counter)
+            assert counter.snapshot() == {"total": 0}
 
     def test_backend_without_the_tree_refuses_structured_queries(self):
         backend = VectorizedBackend(workload_dataset("zipf", 0))

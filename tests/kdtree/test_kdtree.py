@@ -94,6 +94,24 @@ class TestConstruction:
                 for idx in tree.subtree_indices(child):
                     assert child.cell.contains_point(pts[idx])
 
+    def test_lazy_splits_in_any_order_grow_the_eager_tree(self, rng):
+        pts = np.vstack([random_points(rng, 70), np.full((30, 2), 0.5)])
+        eager = KdTree(pts, leaf_size=2)
+        lazy = KdTree(pts, leaf_size=2, lazy=True)
+        assert lazy.root.is_leaf
+        frontier = [lazy.root]
+        while frontier:
+            node = frontier.pop(rng.randrange(len(frontier)))
+            frontier.extend(lazy.split(node))
+        assert lazy.split(lazy.root) is lazy.root.children
+        assert lazy.perm.tolist() == eager.perm.tolist()
+
+        def shape(node):
+            split = None if node.is_leaf else (node.axis, node.split_value)
+            return node.cell.lo, node.cell.hi, node.level, node.start, node.end, split
+
+        assert [shape(n) for n in lazy.nodes()] == [shape(n) for n in eager.nodes()]
+
     def test_leaf_size_respected(self, rng):
         pts = random_points(rng, 100)
         tree = KdTree(pts, leaf_size=8)

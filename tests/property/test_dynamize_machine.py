@@ -18,7 +18,7 @@ by the scan.  Rectangles may have zero width or zero area.
 """
 
 import pytest
-from hypothesis import HealthCheck, settings
+from hypothesis import HealthCheck, Phase, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
@@ -229,11 +229,15 @@ class DynamizeMachine(RuleBasedStateMachine):
                 ), name
 
 
+# No shrink phase: the same derandomized examples run and fail, and a failure
+# reports its steps as drawn within seconds, where shrinking 25-step examples
+# that each rebuild fused indexes took minutes.
 DynamizeMachine.TestCase.settings = settings(
     derandomize=True,
     max_examples=20,
     stateful_step_count=25,
     deadline=None,
+    phases=[phase for phase in Phase if phase is not Phase.shrink],
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
 )
 TestDynamizeMachine = DynamizeMachine.TestCase

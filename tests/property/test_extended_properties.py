@@ -14,7 +14,6 @@ from repro.intervaltree import IntervalTree
 from repro.irtree import IrTree
 from repro.ksi.bitset import BitsetKSI
 from repro.ksi.naive import NaiveKSI
-from repro.rangetree import RangeTree2D
 
 coordinate = st.floats(
     min_value=-50.0, max_value=50.0, allow_nan=False, allow_infinity=False
@@ -53,18 +52,6 @@ def set_families(draw):
         )
         for _ in range(num_sets)
     ]
-
-
-# -- range tree ---------------------------------------------------------------------
-
-
-@given(point_sets(), rects_2d())
-@settings(max_examples=60, deadline=None)
-def test_range_tree_matches_brute_force(points, rect):
-    tree = RangeTree2D(points)
-    got = sorted(tree.range_query(rect))
-    want = sorted(i for i, p in enumerate(points) if rect.contains_point(p))
-    assert got == want
 
 
 # -- interval tree ---------------------------------------------------------------------

@@ -82,10 +82,11 @@ class TestFormatVersionGuard:
         the one before the LC-KW/SRP-KW backend and ``Dynamized``'s
         telemetry went, format 4 the one whose planner sample was a list of
         point tuples, format 5 the one whose kd-tree leaves held their own
-        index arrays; their files are refused, not migrated, even when the
-        stored object would load."""
+        index arrays, format 6 the one whose ORP-KW indexes kept their whole
+        verbose-set kd-tree; their files are refused, not migrated, even when
+        the stored object would load."""
         engine = QueryEngine(random_dataset(rng, 30), max_k=2)
-        for old in (1, 3, 4, 5):
+        for old in (1, 3, 4, 5, 6):
             envelope = {
                 "magic": MAGIC,
                 "format": old,
