@@ -2,9 +2,14 @@
 
 Not a paper table, but the number a downstream adopter asks first: what
 does building each index cost?  All constructions here are
-``O(N polylog N)`` time; the measured wall-clock slopes should sit close
+``O(N polylog N)`` time; the measured build-time slopes should sit close
 to 1 on log-log sweeps, and space-per-unit should stay flat (modulo the
 documented loglog factors).
+
+Each cell is the least process CPU time (``time.process_time``) of
+:data:`REPEATS` builds, so other processes' load and one slow run move it
+less than one wall-clock shot.  The slope is fitted in microseconds: the shared log-log fit
+clamps values below 1, which would flatten any fit in seconds.
 """
 
 import time
@@ -16,6 +21,20 @@ from repro.ksi.cohen_porat import KSetIndex
 from repro.workloads.generators import adversarial_ksi_sets
 
 from common import slope, standard_dataset, summarize_sweep
+
+#: Builds per cell; the cell keeps the fastest.
+REPEATS = 3
+
+
+def _build_seconds(builder):
+    """The least process CPU time of :data:`REPEATS` runs of ``builder``,
+    and the last index it built."""
+    best = float("inf")
+    for _ in range(REPEATS):
+        start = time.process_time()
+        index = builder()
+        best = min(best, time.process_time() - start)
+    return best, index
 
 
 def _rows():
@@ -33,13 +52,12 @@ def _rows():
             ("dim_red", lambda: DimReductionOrpKw(ds3, k=2)),
             ("kset", lambda: KSetIndex(sets, k=2)),
         ):
-            start = time.perf_counter()
-            index = builder()
-            timings[name] = time.perf_counter() - start
+            timings[name], index = _build_seconds(builder)
             spaces[name] = index.space_units / index.input_size
         rows.append(
             {
                 "N": ds2.total_doc_size,
+                "orp_build_us": timings["orp_kw"] * 1e6,
                 "orp_build_s": round(timings["orp_kw"], 3),
                 "sp_build_s": round(timings["sp_kw"], 3),
                 "dimred_build_s": round(timings["dim_red"], 3),
@@ -65,10 +83,12 @@ def test_b1_build_scaling(benchmark):
             "orp_space/N",
             "dimred_space/N",
         ],
-        "B1 construction cost (wall clock) and space across the family",
+        "B1 construction cost (least process CPU time of "
+        f"{REPEATS} builds) and space across the family",
     )
     ns = [r["N"] for r in rows]
-    build_slope = slope(ns, [max(r["orp_build_s"], 1e-4) for r in rows])
+    build_slope = slope(ns, [r["orp_build_us"] for r in rows])
+    print(f"B1 orp_kw build slope (log-log, microseconds): {build_slope:.3f}")
     assert build_slope < 1.6, build_slope  # near-linear build
     space_factors = [r["orp_space/N"] for r in rows]
     assert max(space_factors) / min(space_factors) < 2.0

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..costmodel import CostCounter, ensure_counter
+from ..costmodel import PROBE_FACTOR, CostCounter, ensure_counter
 from ..dataset import Dataset, KeywordObject, validate_query_keywords
 from ..errors import ValidationError
 from ..geometry.rectangles import Rect
@@ -230,21 +230,13 @@ class DimReductionOrpKw:
         rect: Rect,
         keywords: Sequence[int],
         counter: Optional[CostCounter] = None,
-        budget_factor: float = 16.0,
     ) -> bool:
         """Budgeted emptiness (footnote 4) on the d >= 3 index."""
-        from ..errors import BudgetExceeded
-
-        budget = int(budget_factor * (8 + self.input_size ** (1.0 - 1.0 / self.k)))
-        probe = CostCounter(budget=budget)
-        try:
-            found = self.query(rect, keywords, counter=probe, max_report=1)
-            verdict = not found
-        except BudgetExceeded:
-            verdict = False
-        if counter is not None:
-            counter.merge(probe)
-        return verdict
+        budget = int(PROBE_FACTOR * (8 + self.input_size ** (1.0 - 1.0 / self.k)))
+        found, _ = ensure_counter(counter).attempt(
+            budget, lambda probe: self.query(rect, keywords, probe, max_report=1)
+        )
+        return found == []
 
     # -- introspection ---------------------------------------------------------------
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence
 
-from ..costmodel import CostCounter, ensure_counter
+from ..costmodel import PROBE_FACTOR, CostCounter, ensure_counter
 from ..dataset import Dataset, KeywordObject, validate_query_keywords
 from ..errors import ValidationError
 from ..geometry.halfspaces import HalfSpace
@@ -183,22 +183,14 @@ class LcKwIndex:
         constraints: Sequence[HalfSpace],
         keywords: Sequence[int],
         counter: Optional[CostCounter] = None,
-        budget_factor: float = 16.0,
     ) -> bool:
         """Emptiness query via the budgeted-probe trick (footnote 4)."""
-        from ..errors import BudgetExceeded
-
         exponent = 1.0 - 1.0 / max(self.k, self.dim)
-        budget = int(budget_factor * (8 + self.input_size**exponent))
-        probe = CostCounter(budget=budget)
-        try:
-            found = self.query(constraints, keywords, counter=probe, max_report=1)
-            verdict = not found
-        except BudgetExceeded:
-            verdict = False
-        if counter is not None:
-            counter.merge(probe)
-        return verdict
+        budget = int(PROBE_FACTOR * (8 + self.input_size**exponent))
+        found, _ = ensure_counter(counter).attempt(
+            budget, lambda probe: self.query(constraints, keywords, probe, max_report=1)
+        )
+        return found == []
 
     @staticmethod
     def _satisfies(obj: KeywordObject, constraints: Sequence[HalfSpace]) -> bool:

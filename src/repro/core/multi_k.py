@@ -4,9 +4,9 @@ Every index in the paper fixes ``k`` at construction ("Fix an integer
 k >= 2") — the large/small threshold ``N_u^(1-1/k)`` depends on it.  A
 deployed system, however, receives queries with one, two, or five keywords.
 :class:`MultiKOrpIndex` is the practical wrapper: one Theorem-1 index per
-``k`` in ``2..max_k`` plus an inverted index for ``k = 1`` (where scanning
-the posting list *is* optimal: the list is exactly the answer candidate
-set), and per-query routing.
+``k`` in ``2..max_k`` plus a keywords-only index for ``k = 1`` (where
+scanning the posting list *is* optimal: the list is exactly the answer
+candidate set), and per-query routing.
 
 Space: ``O(N * (max_k - 1))`` — a constant blow-up for constant ``max_k``,
 which matches the paper's standing assumption that ``k = O(1)``.
@@ -16,11 +16,12 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
-from ..costmodel import CostCounter, ensure_counter
+from ..costmodel import CostCounter
 from ..dataset import Dataset, KeywordObject
 from ..errors import ValidationError
 from ..geometry.rectangles import Rect
 from ..ksi.inverted import InvertedIndex
+from .baselines import KeywordsOnlyIndex
 from .orp_kw import OrpKwIndex
 
 
@@ -33,6 +34,7 @@ class MultiKOrpIndex:
         self.dataset = dataset
         self.max_k = max_k
         self._inverted = InvertedIndex(dataset)
+        self._keywords = KeywordsOnlyIndex(dataset, inverted=self._inverted)
         self._by_k: Dict[int, OrpKwIndex] = {
             k: OrpKwIndex(dataset, k=k) for k in range(2, max_k + 1)
         }
@@ -43,8 +45,8 @@ class MultiKOrpIndex:
         keywords: Sequence[int],
         counter: Optional[CostCounter] = None,
     ) -> List[KeywordObject]:
-        """Route to the per-``k`` index matching ``len(keywords)``."""
-        counter = ensure_counter(counter)
+        """Route to the per-``k`` index matching ``len(keywords)``; one
+        keyword goes to :attr:`keywords`, the posting-list scan."""
         words = list(dict.fromkeys(keywords))  # dedupe, keep order
         if not words:
             raise ValidationError("need at least one keyword")
@@ -53,24 +55,21 @@ class MultiKOrpIndex:
                 f"{len(words)} distinct keywords exceed max_k={self.max_k}"
             )
         if len(words) == 1:
-            matches = self._inverted.matching_objects(words, counter)
-            # Each containment test is a RAM-model step the Table-1
-            # benchmarks measure; leaving it un-charged under-counts the
-            # k = 1 route by exactly |D(w)| comparisons.
-            result = []
-            for obj in matches:
-                counter.charge("comparisons")
-                if rect.contains_point(obj.point):
-                    result.append(obj)
-            return result
+            return self._keywords.query_rect(rect, words, counter)
         return self._by_k[len(words)].query(rect, words, counter)
 
     # -- component access (used by the serving layer) --------------------------
 
     @property
     def inverted(self) -> InvertedIndex:
-        """The shared inverted index (the ``k = 1`` route)."""
+        """The shared inverted index."""
         return self._inverted
+
+    @property
+    def keywords(self) -> KeywordsOnlyIndex:
+        """The keywords-only index over :attr:`inverted` (the ``k = 1``
+        route, and the serving layer's keywords-only strategy)."""
+        return self._keywords
 
     def fused_for(self, k: int) -> OrpKwIndex:
         """The Theorem-1 index serving exactly ``k`` keywords (``k >= 2``)."""

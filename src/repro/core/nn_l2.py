@@ -13,9 +13,9 @@ from __future__ import annotations
 import math
 from typing import List, Optional, Sequence
 
-from ..costmodel import CostCounter, ensure_counter
+from ..costmodel import PROBE_FACTOR, CostCounter, ensure_counter
 from ..dataset import Dataset, KeywordObject, validate_query_keywords
-from ..errors import BudgetExceeded, ValidationError
+from ..errors import ValidationError
 from ..trace import span_for
 from .baselines import l2_distance_squared
 from .srp_kw import SrpKwIndex
@@ -24,13 +24,7 @@ from .srp_kw import SrpKwIndex
 class L2NnIndex:
     """The Corollary-7 index for L2 nearest neighbours with keywords."""
 
-    def __init__(
-        self,
-        dataset: Dataset,
-        k: int,
-        scheme=None,
-        budget_factor: float = 16.0,
-    ):
+    def __init__(self, dataset: Dataset, k: int, scheme=None):
         for obj in dataset.objects:
             for coord in obj.point:
                 if coord != int(coord):
@@ -41,7 +35,6 @@ class L2NnIndex:
         self.dataset = dataset
         self.k = k
         self.dim = dataset.dim
-        self.budget_factor = budget_factor
         self._srp = SrpKwIndex(dataset, k, scheme=scheme)
         points = [obj.point for obj in dataset.objects]
         self._coord_lo = tuple(min(p[i] for p in points) for i in range(self.dim))
@@ -77,7 +70,7 @@ class L2NnIndex:
     def _probe_budget(self, t: int) -> int:
         n = self._srp.input_size
         bound = n ** (1.0 - 1.0 / self.k) * t ** (1.0 / self.k)
-        return int(self.budget_factor * (bound + 8))
+        return int(PROBE_FACTOR * (bound + 8))
 
     def _ball_has_t(
         self,
@@ -88,18 +81,14 @@ class L2NnIndex:
         budget: int,
         counter: CostCounter,
     ) -> bool:
-        probe = CostCounter(budget=budget)
-        probe.tracer = counter.tracer
         with span_for(counter, "probe", "nn_l2"):
-            try:
-                found = self._srp.query_squared(
-                    q, float(radius_sq), words, counter=probe, max_report=t
-                )
-                verdict = len(found) >= t
-            except BudgetExceeded:
-                verdict = True
-        counter.merge(probe)
-        return verdict
+            found, _ = counter.attempt(
+                budget,
+                lambda probe: self._srp.query_squared(
+                    q, float(radius_sq), words, probe, max_report=t
+                ),
+            )
+        return found is None or len(found) >= t
 
     def _max_radius_squared(self, q: Sequence[float]) -> int:
         """Upper bound on any data point's squared distance from ``q``.
@@ -151,18 +140,12 @@ class L2NnIndex:
         budget: int,
         counter: CostCounter,
     ) -> Optional[List[KeywordObject]]:
-        probe = CostCounter(budget=budget * 4)
-        probe.tracer = counter.tracer
         with span_for(counter, "collect", "nn_l2"):
-            try:
-                found = self._srp.query_squared(
-                    q, float(radius_sq), words, counter=probe
-                )
-            except BudgetExceeded:
-                counter.merge(probe)
-                return None
-        counter.merge(probe)
-        if len(found) < t and not fewer_than_t:
+            found, _ = counter.attempt(
+                budget * 4,
+                lambda probe: self._srp.query_squared(q, float(radius_sq), words, probe),
+            )
+        if found is None or (len(found) < t and not fewer_than_t):
             return None
         found.sort(key=lambda obj: (l2_distance_squared(q, obj.point), obj.oid))
         return found[:t]

@@ -8,19 +8,21 @@ reporting query on ``B(q, r)`` does not finish within
 ``O(N^(1-1/k) * t^(1/k))`` cost units, the ball must contain at least ``t``
 matches and the probe is cut short (the paper's footnote 4).
 
-The probe budget is a constant multiple of the theoretical bound; on the
-off-chance the constant is too tight for a particular instance (the final
-report then yields fewer than ``t`` objects), the driver doubles the budget
-and retries — preserving both correctness and the asymptotic cost.
+The probe budget is :data:`~repro.costmodel.PROBE_FACTOR` times the
+theoretical bound, and :meth:`~repro.costmodel.CostCounter.attempt` cuts each
+probe short; on the off-chance the constant is too tight for a particular
+instance (the final report then yields fewer than ``t`` objects), the driver
+doubles the budget and retries — preserving both correctness and the
+asymptotic cost.
 """
 
 from __future__ import annotations
 
 from typing import List, Optional, Sequence
 
-from ..costmodel import CostCounter, ensure_counter
+from ..costmodel import PROBE_FACTOR, CostCounter, ensure_counter
 from ..dataset import Dataset, KeywordObject, validate_query_keywords
-from ..errors import BudgetExceeded, ValidationError
+from ..errors import ValidationError
 from ..geometry.rectangles import Rect
 from ..trace import span_for
 from .baselines import linf_distance
@@ -35,17 +37,13 @@ class LinfNnIndex:
         self,
         dataset: Dataset,
         k: int,
-        budget_factor: float = 16.0,
         backend: str = "auto",
     ):
-        if budget_factor <= 0:
-            raise ValidationError("budget_factor must be positive")
         if backend not in ("auto", "kd", "dimred"):
             raise ValidationError(f"unknown backend {backend!r}")
         self.dataset = dataset
         self.k = k
         self.dim = dataset.dim
-        self.budget_factor = budget_factor
         # Corollary 4 holds in any dimension; for d >= 3 the right substrate
         # is Theorem 2's dimension-reduction index (the kd route degrades to
         # the §3.5 remark's bound).
@@ -121,7 +119,7 @@ class LinfNnIndex:
     def _probe_budget(self, t: int) -> int:
         n = self._index.input_size
         bound = n ** (1.0 - 1.0 / self.k) * t ** (1.0 / self.k)
-        return int(self.budget_factor * (bound + 8))
+        return int(PROBE_FACTOR * (bound + 8))
 
     def _ball(self, q: Sequence[float], radius: float) -> Rect:
         # Inflate by a relative epsilon: reconstructing a ball boundary as
@@ -144,18 +142,13 @@ class LinfNnIndex:
         counter: CostCounter,
     ) -> bool:
         """Budgeted probe: does ``B(q, radius)`` hold >= t keyword matches?"""
-        probe = CostCounter(budget=budget)
-        probe.tracer = counter.tracer
+        ball = self._ball(q, radius)
         with span_for(counter, "probe", "nn_linf"):
-            try:
-                found = self._index.query(
-                    self._ball(q, radius), words, counter=probe, max_report=t
-                )
-                verdict = len(found) >= t
-            except BudgetExceeded:
-                verdict = True  # could not finish in time => at least t matches
-        counter.merge(probe)
-        return verdict
+            found, _ = counter.attempt(
+                budget, lambda probe: self._index.query(ball, words, probe, max_report=t)
+            )
+        # A probe that could not finish in time => at least t matches.
+        return found is None or len(found) >= t
 
     def _search_radius(
         self,
@@ -213,18 +206,14 @@ class LinfNnIndex:
         counter: CostCounter,
     ) -> Optional[List[KeywordObject]]:
         """Final report on the ball; ``None`` signals a budget retry."""
-        probe = CostCounter(budget=budget * 4)
-        probe.tracer = counter.tracer
+        ball = self._ball(q, radius)
         with span_for(counter, "collect", "nn_linf"):
-            try:
-                found = self._index.query(self._ball(q, radius), words, counter=probe)
-            except BudgetExceeded:
-                counter.merge(probe)
-                return None
-        counter.merge(probe)
-        if len(found) < t and not fewer_than_t:
-            # A budgeted probe over-declared and the search stopped at a ball
-            # that is too small; retry with a doubled budget.
+            found, _ = counter.attempt(
+                budget * 4, lambda probe: self._index.query(ball, words, probe)
+            )
+        if found is None or (len(found) < t and not fewer_than_t):
+            # Cut short, or a budgeted probe over-declared and the search
+            # stopped at a ball that is too small; retry with a doubled budget.
             return None
         found.sort(key=lambda obj: (linf_distance(q, obj.point), obj.oid))
         return found[:t]

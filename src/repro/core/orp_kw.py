@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence
 
-from ..costmodel import CostCounter
+from ..costmodel import PROBE_FACTOR, CostCounter, ensure_counter
 from ..dataset import Dataset, KeywordObject, validate_query_keywords
 from ..errors import ValidationError
 from ..geometry.rank_space import RankSpaceMap
@@ -113,30 +113,21 @@ class OrpKwIndex:
         rect: Rect,
         keywords: Sequence[int],
         counter: Optional[CostCounter] = None,
-        budget_factor: float = 16.0,
     ) -> bool:
         """Emptiness query in ``O(N^(1-1/k))`` (the paper's footnote 4).
 
-        Run the reporting query under a hard budget of
-        ``budget_factor * N^(1-1/k)`` cost units and with ``max_report=1``;
-        if it reports an object, the answer is non-empty; if it exhausts the
-        budget without finishing, the answer must also be non-empty (an
-        empty-output query always terminates within ``O(N^(1-1/k))``).
+        Run the reporting query with ``max_report=1`` under a hard budget of
+        :data:`~repro.costmodel.PROBE_FACTOR` ``* N^(1-1/k)`` cost units
+        (:meth:`~repro.costmodel.CostCounter.attempt`); if it reports an
+        object, the answer is non-empty; if it exhausts the budget without
+        finishing, the answer must also be non-empty (an empty-output query
+        always terminates within ``O(N^(1-1/k))``).
         """
-        from ..errors import BudgetExceeded
-
-        budget = int(
-            budget_factor * (8 + self.input_size ** (1.0 - 1.0 / self.k))
+        budget = int(PROBE_FACTOR * (8 + self.input_size ** (1.0 - 1.0 / self.k)))
+        found, _ = ensure_counter(counter).attempt(
+            budget, lambda probe: self.query(rect, keywords, probe, max_report=1)
         )
-        probe = CostCounter(budget=budget)
-        try:
-            found = self.query(rect, keywords, counter=probe, max_report=1)
-            verdict = not found
-        except BudgetExceeded:
-            verdict = False
-        if counter is not None:
-            counter.merge(probe)
-        return verdict
+        return found == []
 
     # -- introspection -----------------------------------------------------------------
 

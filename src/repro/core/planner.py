@@ -179,25 +179,22 @@ class HybridPlanner:
         happen on queries where a naive is genuinely competitive — the
         cheapest naive finishes the job.  Total cost is therefore at most
         ``~2x`` the best naive on every query while keeping the fused
-        index's polynomial wins intact.  Always exact.
+        index's polynomial wins intact.  Always exact.  The fused probe is
+        charged to ``counter`` once, whether it finishes or not; a
+        ``counter`` whose own budget that charge exhausts raises
+        :class:`~repro.errors.BudgetExceeded`.
         """
-        from ..errors import BudgetExceeded
-
         counter = ensure_counter(counter)
         fallback = self.choose(rect, keywords)
         if self._fused is not None:
-            naive_estimate = self.last_plan[fallback]
-            budget = int(naive_estimate) + 32
-            probe = CostCounter(budget=budget)
-            probe.tracer = counter.tracer
+            budget = int(self.last_plan[fallback]) + 32
             with span_for(counter, "fused", "planner", budget=budget):
-                try:
-                    result = self._fused.query(rect, keywords, counter=probe)
-                    counter.merge(probe)
-                    self.last_plan["choice"] = "fused"
-                    return result
-                except BudgetExceeded:
-                    counter.merge(probe)
+                result, _ = counter.attempt(
+                    budget, lambda probe: self._fused.query(rect, keywords, probe)
+                )
+            if result is not None:
+                self.last_plan["choice"] = "fused"
+                return result
         self.last_plan["choice"] = fallback
         with span_for(counter, fallback, "planner"):
             if fallback == "keywords_only":

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence
 
-from ..costmodel import CostCounter, ensure_counter
+from ..costmodel import PROBE_FACTOR, CostCounter, ensure_counter
 from ..dataset import Dataset, KeywordObject, validate_query_keywords
 from ..errors import ValidationError
 from ..geometry.lifting import lift_point, lift_sphere_squared
@@ -93,23 +93,14 @@ class SrpKwIndex:
         radius: float,
         keywords: Sequence[int],
         counter: Optional[CostCounter] = None,
-        budget_factor: float = 16.0,
     ) -> bool:
         """Budgeted emptiness (footnote 4): is the ball free of matches?"""
-        from ..costmodel import CostCounter as _Counter
-        from ..errors import BudgetExceeded
-
         exponent = 1.0 - 1.0 / max(self.k, self.dim + 1)
-        budget = int(budget_factor * (8 + self.input_size**exponent))
-        probe = _Counter(budget=budget)
-        try:
-            found = self.query(center, radius, keywords, counter=probe, max_report=1)
-            verdict = not found
-        except BudgetExceeded:
-            verdict = False
-        if counter is not None:
-            counter.merge(probe)
-        return verdict
+        budget = int(PROBE_FACTOR * (8 + self.input_size**exponent))
+        found, _ = ensure_counter(counter).attempt(
+            budget, lambda probe: self.query(center, radius, keywords, probe, max_report=1)
+        )
+        return found == []
 
     @property
     def input_size(self) -> int:

@@ -17,9 +17,11 @@ quantity bounded by the paper's theorems:
 
 A :class:`CostCounter` also enforces an optional *budget*: once the total
 charge exceeds the budget, :class:`~repro.errors.BudgetExceeded` is raised.
-The nearest-neighbour indexes (Corollaries 4 and 7) rely on this to implement
-the paper's "run the reporting query; if it does not terminate within
-``O(N^(1-1/k) t^(1/k))`` time, terminate it manually" step.
+:meth:`CostCounter.attempt` is the one place that runs work under such a
+budget and stops it: the paper's footnote 4 ("run the reporting query; if it
+does not terminate within its bound, terminate it manually").  Every
+emptiness query, both nearest-neighbour drivers (Corollaries 4 and 7), the
+planner's race and the serving layer's fallback chain go through it.
 
 A counter can optionally feed a :class:`~repro.trace.Tracer` (set
 ``counter.tracer = tracer``): every :meth:`~CostCounter.charge` is then also
@@ -35,9 +37,11 @@ either way.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, ClassVar, Dict, Optional
+from typing import Any, Callable, ClassVar, Dict, Optional, Tuple, TypeVar
 
 from .errors import BudgetExceeded
+
+_T = TypeVar("_T")
 
 #: Counter categories, in display order.
 CATEGORIES = (
@@ -46,6 +50,14 @@ CATEGORIES = (
     "structure_probes",
     "comparisons",
 )
+
+#: Footnote 4's constant: an emptiness or nearest-neighbour probe runs under
+#: this many times its family's cost bound (plus a small slack) before it is
+#: cut short.
+PROBE_FACTOR = 16
+
+#: The same constant for the k-SI emptiness probe (``KSetIndex.is_empty``).
+KSI_PROBE_FACTOR = 8
 
 
 @dataclass
@@ -92,25 +104,40 @@ class CostCounter:
     def merge(self, other: "CostCounter") -> None:
         """Fold another counter's per-category counts into this one.
 
-        Used by layered execution (planner races, the serving layer's
-        fallback chain): a probe runs under its own budgeted counter, and the
-        spent units are rolled up here *per category* instead of being
-        lumped into a single bucket.  This counter's own budget still
-        applies, but — unlike :meth:`charge` — nothing is recorded to an
-        attached tracer: the probe's charges were recorded when they
-        originally happened, and an accounting transfer must not double-count
-        them in the span tree.
+        Used by layered execution (:meth:`attempt`): a probe runs under its
+        own budgeted counter, and the spent units are rolled up here *per
+        category* instead of being lumped into a single bucket.  This
+        counter's own budget still applies — checked once every category is
+        in, so a blown budget loses none of the probe's units — but, unlike
+        :meth:`charge`, nothing is recorded to an attached tracer: the
+        probe's charges were recorded when they originally happened, and an
+        accounting transfer must not double-count them in the span tree.
         """
-        for category, units in other.counts.items():
-            if units:
-                self._transfer(category, units)
-
-    def _transfer(self, category: str, units: int) -> None:
-        """Budget-enforced, tracer-silent single-category transfer."""
-        self.counts[category] = self.counts.get(category, 0) + units
-        self._total += units
+        self.absorb(other)
         if self.budget is not None and self._total > self.budget:
             raise BudgetExceeded(self._total, self.budget)
+
+    def attempt(
+        self, budget: Optional[int], run: Callable[["CostCounter"], _T]
+    ) -> Tuple[Optional[_T], "CostCounter"]:
+        """Run ``run(probe)`` under ``budget``; stop it when the budget runs out.
+
+        ``probe`` is a fresh counter capped at ``budget`` that records into
+        this counter's tracer.  Whether ``run`` finishes or is cut short, the
+        probe is merged into this counter exactly once (:meth:`merge`: this
+        counter's budget applies, its tracer stays silent).  Returns
+        ``(result, probe)``, with ``None`` as the result of a run that was
+        cut short.  A probe under budget ``B`` records at most ``B`` plus its
+        last charge.
+        """
+        probe = CostCounter(budget=budget)
+        probe.tracer = self.tracer
+        try:
+            result: Optional[_T] = run(probe)
+        except BudgetExceeded:
+            result = None
+        self.merge(probe)
+        return result, probe
 
     def absorb(self, other: "CostCounter") -> None:
         """Fold another counter's counts into this one without budget checks.
@@ -170,9 +197,6 @@ class NullCounter(CostCounter):
         return
 
     def absorb(self, other: CostCounter) -> None:  # noqa: D102
-        return
-
-    def _transfer(self, category: str, units: int) -> None:  # noqa: D102
         return
 
     def reset(self) -> None:  # noqa: D102

@@ -24,8 +24,8 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-from ..costmodel import CostCounter, ensure_counter
-from ..errors import BudgetExceeded, ValidationError
+from ..costmodel import KSI_PROBE_FACTOR, CostCounter, ensure_counter
+from ..errors import ValidationError
 from ..trace import span_for
 from .naive import sets_to_documents
 
@@ -193,27 +193,24 @@ class KSetIndex:
         self,
         set_ids: Sequence[int],
         counter: Optional[CostCounter] = None,
-        budget_factor: float = 8.0,
     ) -> bool:
         """Emptiness in ``O(N^(1-1/k))``: run a budgeted reporting query.
 
         Implements the paper's footnote 4: if the reporting query does not
-        terminate within ``budget_factor * N^(1-1/k)`` units, the
-        intersection must be non-empty and the query is abandoned.
+        terminate within :data:`~repro.costmodel.KSI_PROBE_FACTOR`
+        ``* N^(1-1/k)`` units, the intersection must be non-empty and the
+        query is abandoned.
         """
-        budget = int(budget_factor * (1 + self.input_size**self.threshold_exponent))
-        probe = CostCounter(budget=budget)
-        result: List[int] = []
+        budget = int(KSI_PROBE_FACTOR * (1 + self.input_size**self.threshold_exponent))
         words = self._validated(set_ids)
-        try:
+
+        def first_match(probe: CostCounter) -> List[int]:
+            result: List[int] = []
             self._visit(self.root, words, result, probe, stop_at_first=True)
-        except BudgetExceeded:
-            if counter is not None:
-                counter.merge(probe)
-            return False
-        if counter is not None:
-            counter.merge(probe)
-        return not result
+            return result
+
+        found, _ = ensure_counter(counter).attempt(budget, first_match)
+        return found == []
 
     def _validated(self, set_ids: Sequence[int]) -> Tuple[int, ...]:
         words = tuple(set_ids)

@@ -32,9 +32,9 @@ from typing import Any, Deque, Dict, Iterable, List, NamedTuple, Optional, Seque
 
 from ..costmodel import CATEGORIES, CostCounter, ensure_counter
 from ..dataset import Dataset, KeywordObject, validate_nonempty_keywords
-from ..errors import BudgetExceeded, ValidationError
+from ..errors import ValidationError
 from ..geometry.rectangles import Rect
-from ..core.baselines import KeywordsOnlyIndex, StructuredOnlyIndex
+from ..core.baselines import StructuredOnlyIndex
 from ..core.multi_k import MultiKOrpIndex
 from ..core.planner import STRATEGIES, HybridPlanner
 from ..telemetry.events import EventLog
@@ -590,7 +590,7 @@ class QueryEngine(ServingBase):
             self._structured: Optional[StructuredOnlyIndex] = StructuredOnlyIndex(
                 dataset
             )
-            self._keywords = KeywordsOnlyIndex(dataset, inverted=self._index.inverted)
+            self._keywords = self._index.keywords
             self._planner: Optional[HybridPlanner] = HybridPlanner(
                 dataset,
                 max_k,
@@ -676,20 +676,22 @@ class QueryEngine(ServingBase):
         return plan.results
 
     def _execute(
-        self, rect: Rect, words: Sequence[int], budget: Optional[int],
-        spent: CostCounter, tracer: Optional[Tracer],
+        self, rect: Rect, words: Sequence[int], budget: Optional[int], spent: CostCounter
     ) -> Outcome:
         """Prune, plan, resolve the backend, run the strategy chain and
-        degrade, charging ``spent``; records nothing (the fan-out runs each
-        shard's slice through this step alone).  A function of the query
-        and the engine's immutable indexes: it writes no engine state, so
-        calls on one engine may overlap on worker threads.
+        degrade, charging ``spent`` and tracing into its tracer; records
+        nothing (the fan-out runs each shard's slice through this step
+        alone).  A function of the query and the engine's immutable indexes:
+        it writes no engine state, so calls on one engine may overlap on
+        worker threads.
 
-        Budget bound: each strategy abandoned under budget ``B`` overshoots
-        it by at most its last charge, and the one that completes spends at
-        most ``B``.  A degraded query then also pays the unbudgeted cost
-        ``C0`` of the cheapest-estimate strategy, so it costs the fallbacks'
-        ``spent`` plus ``C0`` — more than the unbudgeted query costs.
+        Each strategy runs as one :meth:`~repro.costmodel.CostCounter.attempt`
+        under ``budget``.  Budget bound: each strategy abandoned under budget
+        ``B`` overshoots it by at most its last charge, and the one that
+        completes spends at most ``B``.  A degraded query then also pays the
+        unbudgeted cost ``C0`` of the cheapest-estimate strategy, so it costs
+        the fallbacks' ``spent`` plus ``C0`` — more than the unbudgeted query
+        costs.
         """
         if self.bounds is None or not rect.intersects(self.bounds):
             # An empty corpus, or a rectangle that misses its bounding box:
@@ -701,28 +703,20 @@ class QueryEngine(ServingBase):
         backend = self._resolve_backend(estimates)
         fallbacks: List[Dict[str, Any]] = []
         for strategy in order:
-            probe = CostCounter(budget=budget)
-            probe.tracer = tracer
-            try:
-                with span_for(probe, strategy, "engine", budget=budget):
-                    results = self._run_strategy(
-                        strategy, rect, words, probe, backend=backend
-                    )
-                spent.merge(probe)
-                return Outcome(results, strategy, backend, fallbacks, estimates, False)
-            except BudgetExceeded:
-                spent.merge(probe)
-                fallbacks.append(
-                    {"strategy": strategy, "spent": probe.total, "budget": budget}
+            with span_for(spent, strategy, "engine", budget=budget):
+                results, probe = spent.attempt(
+                    budget,
+                    lambda counter: self._run_strategy(strategy, rect, words, counter, backend),
                 )
-        # Every strategy blew the budget: serve the cheapest unbudgeted.
-        # The rerun re-enters the strategy's keyed span, so its charges
-        # accumulate there and the leaf-sum invariant still holds.
-        probe = CostCounter()
-        probe.tracer = tracer
-        with span_for(probe, order[0], "engine", degraded=True):
-            results = self._run_strategy(order[0], rect, words, probe, backend=backend)
-        spent.merge(probe)
+            if results is not None:
+                return Outcome(results, strategy, backend, fallbacks, estimates, False)
+            fallbacks.append({"strategy": strategy, "spent": probe.total, "budget": budget})
+        # Every strategy blew the budget: serve the cheapest unbudgeted,
+        # charged to ``spent`` directly.  The rerun re-enters the strategy's
+        # keyed span, so its charges accumulate there and the leaf-sum
+        # invariant still holds.
+        with span_for(spent, order[0], "engine", degraded=True):
+            results = self._run_strategy(order[0], rect, words, spent, backend)
         return Outcome(results, order[0], backend, fallbacks, estimates, True)
 
     # -- observability -----------------------------------------------------------
@@ -793,9 +787,8 @@ class EnginePlan:
     def run(self, shard_id: int) -> Tuple[CostCounter, Outcome]:
         """Execute the query (:meth:`QueryEngine._execute`); records nothing."""
         spent = CostCounter()  # per-query accumulator, never budgeted
-        return spent, self.engine._execute(
-            self.rect, self.words, self.budget, spent, self.tracer
-        )
+        spent.tracer = self.tracer
+        return spent, self.engine._execute(self.rect, self.words, self.budget, spent)
 
     def finish(self, outcomes: Iterable[Tuple[CostCounter, Outcome]]) -> Tuple[KeywordObject, ...]:
         """Cache, record and account the one outcome of :meth:`run`."""

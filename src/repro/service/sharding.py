@@ -227,7 +227,7 @@ class ShardMap:
         probe = CostCounter()
         probe.tracer = tracer
         with span_for(probe, f"shard-{shard_id}", "sharding", budget=share):
-            outcome = engine._execute(rect, words, share, probe, tracer)
+            outcome = engine._execute(rect, words, share, probe)
             engine_cost = probe.total
             objs = list(outcome.results)
             delta = self.deltas[shard_id]

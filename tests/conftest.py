@@ -7,12 +7,19 @@ import random
 import sys
 
 import pytest
+from hypothesis import settings
 
 # Make tests/helpers.py importable from test files in subdirectories.
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent))
 
 from repro.dataset import Dataset  # noqa: E402
-from helpers import random_dataset  # noqa: E402
+from helpers import FUZZ_LONG, random_dataset  # noqa: E402
+
+# The long fuzz job (``--hypothesis-profile fuzz-long``, a CI job outside
+# tier-1): tests whose settings come from ``helpers.fuzz_settings`` run
+# unseeded at ten times their tier-1 examples and steps, and a failure
+# prints the blob that replays it.  Every other test keeps its settings.
+settings.register_profile(FUZZ_LONG, print_blob=True)
 
 
 @pytest.fixture

@@ -53,6 +53,16 @@ class TestRouting:
         with pytest.raises(ValidationError):
             MultiKOrpIndex(ds, max_k=0)
 
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_rect_of_another_dimension_rejected(self, rng, dim):
+        """Every keyword count refuses a rectangle of another dimension than
+        the corpus, the one-keyword route included."""
+        index = MultiKOrpIndex(random_dataset(rng, 60), max_k=3)
+        rect = Rect((0.0,) * dim, (10.0,) * dim)
+        for words in ([3], [1, 2], [1, 2, 3]):
+            with pytest.raises(ValidationError):
+                index.query(rect, words)
+
     def test_k1_uses_posting_list(self, rng):
         ds = random_dataset(rng, 100, vocabulary=10)
         index = MultiKOrpIndex(ds, max_k=2)
@@ -82,6 +92,7 @@ class TestRouting:
         ds = random_dataset(rng, 60)
         index = MultiKOrpIndex(ds, max_k=3)
         assert index.inverted.frequency(1) == len(ds.objects_with(1))
+        assert len(index.keywords.query_rect(Rect.full(2), [1])) == len(ds.objects_with(1))
         assert index.fused_for(2).k == 2
         with pytest.raises(ValidationError):
             index.fused_for(5)

@@ -87,8 +87,6 @@ class TestLinfNn:
             index.query((0.0,), 1, [1, 2])
         with pytest.raises(ValidationError):
             index.query((0.0, 0.0), 0, [1, 2])
-        with pytest.raises(ValidationError):
-            LinfNnIndex(ds, k=2, budget_factor=0.0)
 
     def test_counter_charged(self, rng):
         ds = random_dataset(rng, 60, vocabulary=5)

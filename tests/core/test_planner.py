@@ -7,7 +7,7 @@ import pytest
 from repro.core.planner import SAMPLE_SIZE, STRATEGIES, HybridPlanner
 from repro.costmodel import CostCounter
 from repro.dataset import Dataset
-from repro.errors import ValidationError
+from repro.errors import BudgetExceeded, ValidationError
 from repro.geometry.rectangles import Rect
 
 from helpers import random_dataset
@@ -110,6 +110,26 @@ class TestRouting:
                 + 64
             )
             assert counter.total <= ceiling
+
+    def test_race_charges_the_fused_probe_once_when_the_caller_budget_runs_out(self, rng):
+        """The fused probe finishes within the race's budget, and merging it
+        exhausts the caller's own: BudgetExceeded propagates, and the caller
+        holds the probe's units once, category by category."""
+        points = [(rng.uniform(0, 10), rng.uniform(0, 10)) for _ in range(800)]
+        docs = [[1, 3] if i % 2 == 0 else [2, 3] for i in range(800)]
+        planner = HybridPlanner(Dataset.from_points(points, docs), k=2)
+        rect, words = Rect((2.0, 2.0), (8.0, 8.0)), [1, 2]
+        probe = CostCounter()
+        planner.query_with("fused", rect, words, counter=probe)
+        unbudgeted = CostCounter()
+        planner.query(rect, words, counter=unbudgeted)
+        assert planner.last_plan["choice"] == "fused"
+        assert unbudgeted.snapshot() == probe.snapshot()
+        assert len(probe.counts) >= 2 and probe.total >= 2
+        caller = CostCounter(budget=probe.total // 2)
+        with pytest.raises(BudgetExceeded):
+            planner.query(rect, words, counter=caller)
+        assert caller.snapshot() == probe.snapshot()
 
 
 def _run_cost(planner, strategy, rect, words) -> int:

@@ -1,10 +1,35 @@
-"""Shared dataset builders used across test modules."""
+"""Shared dataset builders and fuzz settings used across test modules."""
 
 from __future__ import annotations
 
 import random
 
+from hypothesis import settings
+
 from repro.dataset import Dataset, make_objects
+
+#: The long fuzz job's Hypothesis profile (registered in ``conftest.py``,
+#: selected with ``--hypothesis-profile fuzz-long``).
+FUZZ_LONG = "fuzz-long"
+
+#: How many times its tier-1 examples and steps a fuzz test runs under
+#: :data:`FUZZ_LONG`.
+FUZZ_LONG_SCALE = 10
+
+
+def fuzz_settings(**tier1) -> settings:
+    """``settings(**tier1)``; under the :data:`FUZZ_LONG` profile the same
+    settings unseeded, at :data:`FUZZ_LONG_SCALE` times their examples and
+    stateful steps.  Tier-1 runs exactly ``tier1``."""
+    chosen = settings(**tier1)
+    if settings.default is not settings.get_profile(FUZZ_LONG):
+        return chosen
+    return settings(
+        chosen,
+        derandomize=False,
+        max_examples=FUZZ_LONG_SCALE * chosen.max_examples,
+        stateful_step_count=FUZZ_LONG_SCALE * chosen.stateful_step_count,
+    )
 
 
 def random_dataset(

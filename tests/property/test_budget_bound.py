@@ -9,13 +9,15 @@ abandoned attempt.
 """
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.geometry.rectangles import Rect
 from repro.service import QueryEngine
 from repro.trace import TraceSpan
 from repro.workloads import WorkloadConfig, zipf_dataset
+
+from helpers import fuzz_settings
 
 BACKENDS = ("cost_model", "vectorized")
 
@@ -46,7 +48,7 @@ def queries(draw):
     return Rect((xs[0], ys[0]), (xs[1], ys[1])), words
 
 
-@settings(max_examples=200, deadline=None)
+@fuzz_settings(max_examples=200, deadline=None)
 @given(backend=st.sampled_from(BACKENDS), query=queries(), data=st.data())
 def test_budgeted_cost_obeys_the_stated_bound(engines, backend, query, data):
     engine, twin = engines[backend]

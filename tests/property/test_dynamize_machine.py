@@ -18,7 +18,7 @@ by the scan.  Rectangles may have zero width or zero area.
 """
 
 import pytest
-from hypothesis import HealthCheck, Phase, settings
+from hypothesis import HealthCheck, Phase
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
@@ -32,6 +32,8 @@ from repro.core.dynamize import (
 from repro.errors import ValidationError
 from repro.geometry.halfspaces import rect_to_halfspaces
 from repro.geometry.rectangles import Rect
+
+from helpers import fuzz_settings
 
 VOCABULARY = 3
 FAMILIES = {
@@ -231,8 +233,9 @@ class DynamizeMachine(RuleBasedStateMachine):
 
 # No shrink phase: the same derandomized examples run and fail, and a failure
 # reports its steps as drawn within seconds, where shrinking 25-step examples
-# that each rebuild fused indexes took minutes.
-DynamizeMachine.TestCase.settings = settings(
+# that each rebuild fused indexes took minutes.  The long fuzz job runs the
+# machine unseeded at ten times the examples and steps (``fuzz_settings``).
+DynamizeMachine.TestCase.settings = fuzz_settings(
     derandomize=True,
     max_examples=20,
     stateful_step_count=25,

@@ -30,7 +30,7 @@ up, or none.
 import asyncio
 from functools import partial
 
-from hypothesis import HealthCheck, Phase, settings
+from hypothesis import HealthCheck, Phase
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
@@ -43,6 +43,8 @@ from repro.service import (
     SnapshotManager,
 )
 from repro.workloads import WorkloadConfig, zipf_dataset
+
+from helpers import fuzz_settings
 
 MAX_K = 3
 VOCABULARY = 8
@@ -337,8 +339,9 @@ class FrontEndMachine(RuleBasedStateMachine):
 
 # No shrink phase: the same derandomized examples run and fail, and a failure
 # reports its steps as drawn within seconds, where shrinking 25-step examples
-# that each rebuild fused indexes took minutes.
-FrontEndMachine.TestCase.settings = settings(
+# that each rebuild fused indexes took minutes.  The long fuzz job runs the
+# machine unseeded at ten times the examples and steps (``fuzz_settings``).
+FrontEndMachine.TestCase.settings = fuzz_settings(
     derandomize=True,
     max_examples=20,
     stateful_step_count=25,

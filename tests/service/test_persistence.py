@@ -83,10 +83,12 @@ class TestFormatVersionGuard:
         telemetry went, format 4 the one whose planner sample was a list of
         point tuples, format 5 the one whose kd-tree leaves held their own
         index arrays, format 6 the one whose ORP-KW indexes kept their whole
-        verbose-set kd-tree; their files are refused, not migrated, even when
-        the stored object would load."""
+        verbose-set kd-tree, format 7 the one whose nearest-neighbour indexes
+        kept a ``budget_factor`` and whose multi-k index had no keywords-only
+        index; their files are refused, not migrated, even when the stored
+        object would load."""
         engine = QueryEngine(random_dataset(rng, 30), max_k=2)
-        for old in (1, 3, 4, 5, 6):
+        for old in (1, 3, 4, 5, 6, 7):
             envelope = {
                 "magic": MAGIC,
                 "format": old,

@@ -88,3 +88,58 @@ class TestNullCounter:
     def test_ensure_counter_passes_through(self):
         counter = CostCounter()
         assert ensure_counter(counter) is counter
+
+
+class TestAttempt:
+    """``CostCounter.attempt``: footnote 4's one budgeted probe."""
+
+    def test_finished_run_returns_its_result_and_merges_once(self):
+        caller = CostCounter()
+        result, probe = caller.attempt(10, lambda c: c.charge("comparisons", 4) or "done")
+        assert result == "done"
+        assert probe.budget == 10
+        assert caller.snapshot() == probe.snapshot() == {"comparisons": 4, "total": 4}
+
+    def test_cut_short_run_returns_none_and_still_merges(self):
+        caller = CostCounter()
+
+        def run(c):
+            for _ in range(100):
+                c.charge("nodes_visited")
+            return "never"
+
+        result, probe = caller.attempt(5, run)
+        assert result is None
+        # The crossing charge is counted: at most the budget plus one charge.
+        assert probe.total == 6
+        assert caller.snapshot() == probe.snapshot()
+
+    def test_probe_records_into_the_callers_tracer(self):
+        from repro.trace import Tracer
+
+        caller = CostCounter()
+        caller.tracer = Tracer()
+        caller.attempt(3, lambda c: c.charge("objects_examined", 9))
+        root = caller.tracer.finish()
+        assert root.subtree_costs() == {"objects_examined": 9}
+        assert caller.snapshot() == {"objects_examined": 9, "total": 9}
+
+    def test_blown_caller_budget_propagates_with_every_category(self):
+        caller = CostCounter(budget=3)
+
+        def run(c):
+            c.charge("comparisons", 2)
+            c.charge("nodes_visited", 2)
+            c.charge("structure_probes", 2)
+            return []
+
+        with pytest.raises(BudgetExceeded):
+            caller.attempt(None, run)
+        assert caller.snapshot() == {
+            "comparisons": 2, "nodes_visited": 2, "structure_probes": 2, "total": 6,
+        }
+
+    def test_null_counter_runs_the_probe_and_keeps_nothing(self):
+        result, probe = NULL_COUNTER.attempt(2, lambda c: c.charge("comparisons", 2) or [])
+        assert result == [] and probe.total == 2
+        assert NULL_COUNTER.total == 0

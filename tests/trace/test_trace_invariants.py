@@ -119,6 +119,12 @@ def family_runs(seed: int):
         ("ksi_kset", lambda c: kset.report(ids, c)),
         ("ksi_naive", lambda c: naive_ksi.report(ids, c)),
         ("ksi_bitset", lambda c: bitset.report(ids, c)),
+        # Footnote 4's emptiness probes record into the caller's tracer.
+        ("orp_kw_empty", lambda c: orp.is_empty(rect, words, c)),
+        ("lc_kw_empty", lambda c: lc.is_empty(halfspaces, words, c)),
+        ("srp_kw_empty", lambda c: srp.is_empty(qi, 3.0, words, c)),
+        ("dim_reduction_empty", lambda c: dim_red.is_empty(rect3, words, c)),
+        ("ksi_kset_empty", lambda c: kset.is_empty(ids, c)),
     ]
 
 
