@@ -1063,6 +1063,19 @@ _PARITY_FAMILIES: Tuple[Tuple[str, _ParitySide, _ParitySide], ...] = (
             re.compile(r"(^|/)fast/(arrays|backend)\.py$"),
         ),
     ),
+    (
+        "fused",
+        _ParitySide(
+            "scalar (cost-model path)",
+            (("core/orp_kw.py", "OrpKwIndex.query"),),
+            re.compile(r"(^|/)(core/orp_kw|core/transform|geometry/rank_space)\.py$"),
+        ),
+        _ParitySide(
+            "vectorized (fast path)",
+            (("fast/backend.py", "VectorizedBackend.query_fused"),),
+            re.compile(r"(^|/)(fast/arrays|fast/backend|geometry/rank_space)\.py$"),
+        ),
+    ),
 )
 
 

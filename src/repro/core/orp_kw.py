@@ -132,6 +132,17 @@ class OrpKwIndex:
     # -- introspection -----------------------------------------------------------------
 
     @property
+    def rank_map(self) -> RankSpaceMap:
+        """The §3.4 rank-space map of the indexed points."""
+        return self._rank_map
+
+    @property
+    def transform(self) -> KeywordTransform:
+        """The transformed kd-tree (steps 1-3) over the rank-space objects,
+        whose ids are positions in ``dataset.objects``."""
+        return self._transform
+
+    @property
     def input_size(self) -> int:
         """``N`` (total document size)."""
         return self._transform.input_size

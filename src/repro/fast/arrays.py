@@ -1,13 +1,19 @@
 """Contiguous-array data layout for the vectorized execution backend.
 
 The cost-model implementations walk Python objects one at a time; this
-module lays the same data out as numpy arrays so the keywords-only
-strategy's hot loops — posting-list intersection and rectangle
-containment — run as a handful of vectorized passes, and so do the
-structured-only strategy's per-point loops: :func:`kd_range` walks the
-kd-tree's nodes as :meth:`~repro.kdtree.tree.KdTree.range_query` does but
-reports and tests its points as slices of the tree's permutation, and
-:meth:`ArrayStore.keyword_filter` keeps the hits holding every keyword.
+module lays the same data out as numpy arrays and plain lists so each
+strategy's hot loops run as a handful of vectorized passes:
+
+* keywords-only — :meth:`ArrayStore.intersect` and the rectangle
+  post-filter;
+* structured-only — :func:`kd_range` walks a kd-tree's :class:`KdTable`
+  as :meth:`~repro.kdtree.tree.KdTree.range_query` walks the tree, but
+  reports and tests its points as spans of the tree's permutation, and
+  :meth:`ArrayStore.keyword_filter` keeps the hits holding every keyword;
+* fused — :func:`fused_range` walks a Theorem-1 index's
+  :class:`FusedTable` as the transform's scalar descent walks its nodes,
+  and gathers the pivot sets and materialized lists it scans as spans of
+  one position array, which the caller tests in one pass.
 
 Correctness contract (the oracle contract, DESIGN.md section 12): every
 predicate here mirrors its scalar counterpart *operation for operation*, so
@@ -26,19 +32,24 @@ an earlier keyword is never charged a probe for a later one).  A pass that
 would cross its counter's budget charges only the scalar loop's units up
 to the crossing one, so a raised budget records the same cost snapshot on
 both paths (:meth:`ArrayStore.intersect`, :func:`charge_filter`,
-:func:`kd_range`, :meth:`ArrayStore.keyword_filter`).
+:func:`kd_range`, :func:`fused_range`, :meth:`ArrayStore.keyword_filter`).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+import sys
+from array import array
+from bisect import bisect_left
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
+from ..core.orp_kw import OrpKwIndex
+from ..core.transform import TransformNode
 from ..costmodel import CostCounter, ensure_counter
-from ..dataset import Dataset
+from ..dataset import Dataset, KeywordObject
 from ..geometry.rectangles import Rect
-from ..kdtree.tree import KdTree
+from ..kdtree.tree import KdNode, KdTree
 
 
 class ArrayStore:
@@ -158,10 +169,8 @@ class ArrayStore:
         <repro.core.baselines.StructuredOnlyIndex._filter>`: ``len(words)``
         ``structure_probes`` per position, with no short circuit.  A charge
         that would cross the budget lands as the scalar loop's, which
-        charges whole positions: ``(remaining // k + 1) * k``.  Then one
-        membership pass per keyword narrows the candidates: the keyword's
-        :attr:`position_postings` are marked in a mask over the positions,
-        made for the pass and dropped after it, and the candidates read it.
+        charges whole positions: ``(remaining // k + 1) * k``.  Then
+        :meth:`holding` narrows the positions.
         """
         k = len(words)
         probes = k * int(positions.size)
@@ -170,6 +179,14 @@ class ArrayStore:
             probes = (remaining // k + 1) * k
         if probes:
             counter.charge("structure_probes", probes)
+        return self.holding(positions, words)
+
+    def holding(self, positions: np.ndarray, words: Sequence[int]) -> np.ndarray:
+        """The positions whose documents hold every keyword of ``words``, in
+        the given order, uncharged: one membership pass per keyword.  The
+        keyword's :attr:`position_postings` are marked in a mask over the
+        positions, made for the pass and dropped after it, and the
+        candidates read it."""
         for word in words:
             if not positions.size:
                 break
@@ -182,51 +199,101 @@ class ArrayStore:
         return positions
 
 
-def kd_range(tree: KdTree, rect: Rect, counter: CostCounter) -> np.ndarray:
+class KdTable:
+    """A kd-tree's nodes as plain lists, built once for :func:`kd_range`.
+
+    A node's id is its place in the order a walk that prunes nothing pops
+    the nodes (the root first, then each right child before its sibling),
+    so an internal node ``i``'s right child is ``i + 1`` and only its left
+    child's id is stored.  Per node: the cell's corners :attr:`lo` and
+    :attr:`hi` (the cell's own tuples), :attr:`left` (0 for a leaf: the
+    root is no node's child) and the span :attr:`start`/:attr:`end` of
+    :attr:`~repro.kdtree.tree.KdTree.perm`.
+    """
+
+    def __init__(self, tree: KdTree):
+        self.tree = tree
+        self.lo: List[Tuple[float, ...]] = []
+        self.hi: List[Tuple[float, ...]] = []
+        self.left: List[int] = []
+        self.start: List[int] = []
+        self.end: List[int] = []
+        # (node, its parent's id when it is a left child)
+        stack: List[Tuple[KdNode, Optional[int]]] = [(tree.root, None)]
+        while stack:
+            node, parent = stack.pop()
+            if parent is not None:
+                self.left[parent] = len(self.left)
+            self.lo.append(node.cell.lo)
+            self.hi.append(node.cell.hi)
+            self.left.append(0)
+            self.start.append(node.start)
+            self.end.append(node.end)
+            if node.children:
+                left, right = node.children
+                stack.append((left, len(self.left) - 1))
+                stack.append((right, None))
+
+
+def kd_range(table: KdTable, rect: Rect, counter: CostCounter) -> np.ndarray:
     """:meth:`KdTree.range_query <repro.kdtree.tree.KdTree.range_query>` as
     an int array of point indices, in the same order, at the same charges.
 
-    The nodes are walked in Python exactly as the scalar loop walks them:
-    pop, one ``nodes_visited``, ``rect.intersects(cell)``; a leaf's span is
-    kept for testing, an internal node the rectangle covers is reported
-    whole, any other node pushes both children.  A running total of the
-    scalar loop's units (one per node, one ``objects_examined`` per point
-    of a kept span) is compared with ``remaining + 1``; where it reaches
-    it — on a node visit, or inside a span — the walk stops, and the
-    batch charges below land exactly the units the scalar loop charges
-    before it raises, so the last of them raises.  Otherwise the kept spans
-    are gathered from :attr:`~repro.kdtree.tree.KdTree.perm` in walk order
-    and the leaf spans tested in one :meth:`Rect.contains_points` pass.
+    The nodes are walked in Python exactly as the scalar loop walks them,
+    over the :class:`KdTable`: pop, one ``nodes_visited``, the
+    ``rect.intersects(cell)`` comparisons made inline; a leaf's span is kept
+    for testing, an internal node the rectangle covers (``rect.covers``,
+    inline) is reported whole, any other node pushes both children.  A
+    running total of the scalar loop's units (one per node, one
+    ``objects_examined`` per point of a kept span) is compared with
+    ``remaining + 1``; where it reaches it — on a node visit, or inside a
+    span — the walk stops, and the batch charges below land exactly the
+    units the scalar loop charges before it raises, so the last of them
+    raises.  Otherwise the kept spans are gathered from
+    :attr:`~repro.kdtree.tree.KdTree.perm` in walk order and the leaf spans
+    tested in one :meth:`Rect.contains_points` pass.
     """
+    tree = table.tree
     rect.require_dim(tree.dim)
     remaining = counter.remaining
-    # Unbudgeted, the limit is out of reach: a walk visits each node once
-    # (fewer than 2n of them) and examines each point once.
-    limit = 3 * len(tree.points) if remaining is None else remaining + 1
+    limit = sys.maxsize if remaining is None else remaining + 1
+    low, high = rect.lo, rect.hi
+    cell_lo, cell_hi, left, start, end = table.lo, table.hi, table.left, table.start, table.end
+    axes = range(tree.dim)
     used = examined = 0
     # Per kept span: where it starts in perm less where it starts in the
     # gathered array, its size, and whether it is a leaf (to be tested).
     spans: List[Tuple[int, int, bool]] = []
-    stack = [tree.root]
+    stack = [0]
     while stack:
         node = stack.pop()
         used += 1
         if used >= limit:
             break
-        if not rect.intersects(node.cell):
-            continue
-        leaf = not node.children
-        if leaf or rect.covers(node.cell):
-            size = node.end - node.start
+        lo, hi = cell_lo[node], cell_hi[node]
+        for axis in axes:  # rect.intersects(cell)
+            if not (low[axis] <= hi[axis] and lo[axis] <= high[axis]):
+                break
+        else:
+            descend = left[node]
+            if descend:
+                for axis in axes:  # rect.covers(cell)
+                    if not (low[axis] <= lo[axis] and hi[axis] <= high[axis]):
+                        break
+                else:
+                    descend = 0
+            if descend:
+                stack.append(descend)
+                stack.append(node + 1)
+                continue
+            size = end[node] - start[node]
             if used + size >= limit:
                 examined += limit - used
                 used = limit
                 break
-            spans.append((node.start - examined, size, leaf))
+            spans.append((start[node] - examined, size, not left[node]))
             used += size
             examined += size
-            continue
-        stack.extend(node.children)
     counter.charge("nodes_visited", used - examined)
     if examined:
         counter.charge("objects_examined", examined)
@@ -238,6 +305,174 @@ def kd_range(tree: KdTree, rect: Rect, counter: CostCounter) -> np.ndarray:
     keep = ~tested
     keep[tested] = rect.contains_points(tree.points[positions[tested]])
     return positions[keep]
+
+
+class FusedTable:
+    """A Theorem-1 index's transform as a flat node table, built once for
+    :func:`fused_range`.
+
+    Every pivot set and materialized list is a span of :attr:`positions`,
+    one int32 array of positions in ``dataset.objects`` (a rank-space
+    object's id is its position).  The lists are laid out node by node,
+    each node's pivot set first and then its materialized lists by keyword:
+    list ``e`` spans ``ends[e]`` to ``ends[e + 1]``, and ``keys[e]`` is its
+    keyword (``None`` for a pivot set).
+
+    A node's id is its place in the order the scalar descent
+    (``KeywordTransform._visit_node``) visits the nodes: a node, then each
+    child's subtree in turn.  Per node:
+
+    * :attr:`lo`, :attr:`hi` — its rank-space cell's corners;
+    * :attr:`combos` — the non-empty k-combinations of the child table that
+      leads to it (``None`` at the root);
+    * :attr:`large` — its large keywords, or ``None`` where the descent
+      probes none (a leaf without materialized lists);
+    * :attr:`first` — its pivot set's list; its materialized lists follow,
+      up to the next node's ``first``;
+    * :attr:`children` — its child ids, the last first, as a stack pushes
+      them.
+
+    The table holds the index's tuples and sets, not copies.
+    """
+
+    def __init__(self, index: OrpKwIndex):
+        self.index = index
+        self.lo: List[Tuple[float, ...]] = []
+        self.hi: List[Tuple[float, ...]] = []
+        self.combos: List[Optional[Set[Tuple[int, ...]]]] = []
+        self.large: List[Optional[Set[int]]] = []
+        self.first = array("q")
+        self.keys: List[Optional[int]] = []
+        self.ends = array("q", [0])
+        children: List[List[int]] = []
+        scanned: List[List[KeywordObject]] = []
+        # (node, the combinations on the edge into it, its parent's id)
+        stack: List[Tuple[TransformNode, Optional[Set[Tuple[int, ...]]], Optional[int]]] = [
+            (index.transform.root, None, None)
+        ]
+        while stack:
+            node, combos, parent = stack.pop()
+            if parent is not None:
+                children[parent].append(len(children))
+            self.lo.append(node.cell.lo)
+            self.hi.append(node.cell.hi)
+            self.combos.append(combos)
+            self.large.append(node.large if node.children or node.materialized else None)
+            self.first.append(len(self.keys))
+            self.keys.append(None)
+            scanned.append(node.pivot)
+            for word in sorted(node.materialized):
+                self.keys.append(word)
+                scanned.append(node.materialized[word])
+            children.append([])
+            node_id = len(children) - 1
+            for child, child_combos in reversed(list(zip(node.children, node.combos))):
+                stack.append((child, child_combos, node_id))
+        self.first.append(len(self.keys))
+        for objects in scanned:
+            self.ends.append(self.ends[-1] + len(objects))
+        self.children: List[Tuple[int, ...]] = [tuple(reversed(ids)) for ids in children]
+        self.positions = np.fromiter(
+            (obj.oid for objects in scanned for obj in objects),
+            dtype=np.int32, count=self.ends[-1],
+        )
+
+
+def fused_range(
+    table: FusedTable, rank_rect: Rect, words: Sequence[int], counter: CostCounter
+) -> np.ndarray:
+    """The positions the scalar Theorem-1 descent scans, in its order, at
+    its charges.
+
+    Walks the :class:`FusedTable` as ``KeywordTransform._visit_node`` walks
+    the transform's nodes.  A node costs one ``nodes_visited``.  A node
+    with large keywords costs ``k`` ``structure_probes``; if a query
+    keyword is small there, its materialized list is scanned and the node
+    is done.  Otherwise the node's pivot set is scanned and each child's
+    k-combination table probed (one ``structure_probes``), and the walk
+    descends into a child whose table holds the query's combination and
+    whose cell meets ``rank_rect`` (``Rect.intersects``'s comparisons,
+    inline).  A scanned list costs one ``objects_examined`` per object.
+
+    A running total of those units is compared with ``remaining + 1``, as
+    in :func:`kd_range`; a ``k``-unit probe crosses whole, as the scalar
+    charge does, so only it can carry the total past that.  The batches are
+    charged with ``structure_probes`` last: every other crossing stops the
+    total at exactly ``remaining + 1``, so whichever batch lands last
+    raises, and a probe that crosses past it lands after every other unit.
+    The scanned spans come back gathered in walk order, for the caller to
+    test against the rectangle and the keywords, which the scalar path
+    does without a charge.
+    """
+    k = len(words)
+    key = tuple(sorted(words))
+    remaining = counter.remaining
+    limit = sys.maxsize if remaining is None else remaining + 1
+    low, high = rank_rect.lo, rank_rect.hi
+    cell_lo, cell_hi, combos, large = table.lo, table.hi, table.combos, table.large
+    first, keys, ends, children = table.first, table.keys, table.ends, table.children
+    axes = range(len(low))
+    used = nodes = probes = examined = 0
+    spans: List[Tuple[int, int]] = []
+    stack = [0]
+    while stack:
+        node = stack.pop()
+        if node:  # the probe of the child table that leads here (not at the root)
+            used += 1
+            probes += 1
+            if used >= limit:
+                break
+            if key not in combos[node]:
+                continue
+            lo, hi = cell_lo[node], cell_hi[node]
+            meets = True
+            for axis in axes:  # rank_rect.intersects(cell)
+                if not (low[axis] <= hi[axis] and lo[axis] <= high[axis]):
+                    meets = False
+                    break
+            if not meets:
+                continue
+        used += 1
+        nodes += 1
+        if used >= limit:
+            break
+        small = None
+        held = large[node]
+        if held is not None:
+            used += k
+            probes += k
+            if used >= limit:
+                break
+            for word in words:
+                if word not in held:
+                    small = word
+                    break
+        scan = first[node]  # the pivot set
+        if small is not None:  # the small keyword's list instead, if it has one
+            stop = first[node + 1]
+            scan = bisect_left(keys, small, scan + 1, stop)
+            if scan == stop or keys[scan] != small:
+                continue
+        start, end = ends[scan], ends[scan + 1]
+        size = end - start
+        if used + size >= limit:
+            examined += limit - used
+            break
+        if size:
+            spans.append((start, end))
+            used += size
+            examined += size
+        if small is None:
+            stack.extend(children[node])
+    counter.charge("nodes_visited", nodes)
+    if examined:
+        counter.charge("objects_examined", examined)
+    if probes:
+        counter.charge("structure_probes", probes)
+    positions = table.positions
+    if not spans:
+        return positions[:0]
+    return np.concatenate([positions[start:end] for start, end in spans])
 
 
 def charge_filter(counter: CostCounter, candidates: int) -> None:

@@ -1,13 +1,17 @@
 """The vectorized execution backend and backend-name validation.
 
-:class:`VectorizedBackend` is a drop-in executor for the engine's
-keywords-only rectangle strategy (posting-list intersection + rectangle
-post-filter): same signature, same validation, same result order, same
-charged cost totals as :meth:`~repro.core.baselines.KeywordsOnlyIndex.query_rect`
-— but the hot loops run as numpy passes over an
-:class:`~repro.fast.arrays.ArrayStore`.  The cost-model
-path stays the correctness oracle: ``tests/fast/test_backend_oracle.py``
-pins byte-identical result sets across the differential sweep matrix.
+:class:`VectorizedBackend` is a drop-in executor for the engine's three
+rectangle strategies — keywords-only (posting-list intersection + rectangle
+post-filter), structured-only (kd-tree walk + keyword filter) and fused
+(the Theorem-1 descent + rectangle and keyword tests): same signatures,
+same validation, same result order, same charged cost totals as
+:meth:`~repro.core.baselines.KeywordsOnlyIndex.query_rect`,
+:meth:`~repro.core.baselines.StructuredOnlyIndex.query_rect` and
+:meth:`~repro.core.orp_kw.OrpKwIndex.query` — but the hot loops run as
+numpy passes over an :class:`~repro.fast.arrays.ArrayStore` and flat node
+tables.  The cost-model path stays the correctness oracle:
+``tests/fast/test_backend_oracle.py`` pins byte-identical result sets
+across the differential sweep matrix.
 
 Traced runs emit spans like every other component — one span per vectorized
 pass, carrying batch-granularity charges — so the leaf-sum == CostCounter
@@ -16,15 +20,18 @@ invariant holds for fast-path queries too.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
+from ..core.orp_kw import OrpKwIndex
 from ..costmodel import CostCounter, ensure_counter
-from ..dataset import Dataset, KeywordObject, validate_nonempty_keywords
+from ..dataset import (
+    Dataset, KeywordObject, validate_nonempty_keywords, validate_query_keywords,
+)
 from ..errors import ValidationError
 from ..geometry.rectangles import Rect
 from ..kdtree.tree import KdTree
 from ..trace import span_for
-from .arrays import ArrayStore, charge_filter, kd_range
+from .arrays import ArrayStore, FusedTable, KdTable, charge_filter, fused_range, kd_range
 
 #: An engine's executor backends: the instrumented object-at-a-time
 #: reference path, the numpy fast path it is differentially checked
@@ -43,30 +50,48 @@ def validate_backend(name: str) -> str:
 
 
 class VectorizedBackend:
-    """Numpy executor for the keywords-only and structured-only strategies.
+    """Numpy executor for the keywords-only, structured-only and fused
+    strategies.
 
     ``dataset`` is the corpus; the executor reports the same
     :class:`~repro.dataset.KeywordObject` instances as the scalar path.
     ``tree`` is the kd-tree of the :class:`StructuredOnlyIndex
     <repro.core.baselines.StructuredOnlyIndex>` whose answers
     :meth:`query_structured` reproduces (``None`` for an empty corpus, or
-    when only :meth:`query_rect` is used).  The backend reads it and holds
-    no copy: pickling keeps the dataset and the tree and drops the derived
-    arrays, which unpickling rebuilds.
+    when only :meth:`query_rect` is used).  ``fused`` holds the
+    :class:`~repro.core.orp_kw.OrpKwIndex` over ``dataset`` for each
+    keyword count :meth:`query_fused` serves; they need ``tree``, whose
+    points are the corpus's coordinates in position order.  The backend
+    reads the tree and the indexes and holds no copy: pickling keeps the
+    dataset, the tree and the indexes and drops the derived arrays and
+    tables, which unpickling rebuilds.
     """
 
     name = "vectorized"
 
-    def __init__(self, dataset: Dataset, tree: Optional[KdTree] = None):
+    def __init__(
+        self,
+        dataset: Dataset,
+        tree: Optional[KdTree] = None,
+        fused: Sequence[OrpKwIndex] = (),
+    ):
+        if fused and tree is None:
+            raise ValidationError("the fused strategy needs the corpus's kd-tree")
         self.dataset = dataset
         self.tree = tree
         self.store = ArrayStore(dataset)
+        self.kd_table = KdTable(tree) if tree is not None else None
+        self.fused: Dict[int, FusedTable] = {index.k: FusedTable(index) for index in fused}
 
     def __getstate__(self):
-        return {"dataset": self.dataset, "tree": self.tree}
+        return {
+            "dataset": self.dataset,
+            "tree": self.tree,
+            "fused": [table.index for table in self.fused.values()],
+        }
 
     def __setstate__(self, state) -> None:
-        self.__init__(state["dataset"], state["tree"])
+        self.__init__(state["dataset"], state["tree"], state["fused"])
 
     def query_rect(
         self,
@@ -115,9 +140,49 @@ class VectorizedBackend:
             validate_nonempty_keywords(keywords)
             return []
         with span_for(counter, "kd-walk", "fast"):
-            positions = kd_range(self.tree, rect, counter)
+            positions = kd_range(self.kd_table, rect, counter)
         words = validate_nonempty_keywords(keywords)
         with span_for(counter, "keyword-filter", "fast", candidates=int(positions.size)):
             positions = self.store.keyword_filter(positions, words, counter)
+        objects = self.dataset.objects
+        return [objects[position] for position in positions.tolist()]
+
+    def query_fused(
+        self,
+        rect: Rect,
+        keywords: Sequence[int],
+        counter: Optional[CostCounter] = None,
+    ) -> List[KeywordObject]:
+        """Vectorized ``OrpKwIndex.query`` for ``len(keywords)`` keywords:
+        the same ids in the same order, the same charges, and the same
+        snapshot where a budget raises.
+
+        The rectangle goes to rank space as the scalar path converts it
+        (:meth:`~repro.geometry.rank_space.RankSpaceMap.rect_to_rank`, with
+        its ``comparisons``), and :func:`~repro.fast.arrays.fused_range`
+        walks the index's :class:`~repro.fast.arrays.FusedTable` (both in
+        the ``fused-walk`` span).  The scanned objects are then tested in
+        one :meth:`Rect.contains_points` pass of their original coordinates
+        against the original rectangle — a point lies in ``rect`` exactly
+        when its ranks lie in the rank-space rectangle, which is the
+        scalar path's test — and narrowed to those holding every keyword
+        (:meth:`ArrayStore.holding`); neither test is charged, as in the
+        scalar path.  A keyword count with no index, a rectangle of
+        another dimension and repeated keywords raise before any charge.
+        """
+        counter = ensure_counter(counter)
+        table = self.fused.get(len(keywords))
+        if table is None:
+            raise ValidationError(
+                f"no fused index for k={len(keywords)} "
+                f"(this backend serves k in {sorted(self.fused)})"
+            )
+        rect.require_dim(table.index.dim)
+        words = validate_query_keywords(keywords, table.index.k)
+        with span_for(counter, "fused-walk", "fast", keywords=len(words)):
+            rank_rect = table.index.rank_map.rect_to_rank(rect, counter)
+            positions = fused_range(table, rank_rect, words, counter)
+        positions = positions[rect.contains_points(self.tree.points[positions])]
+        positions = self.store.holding(positions, words)
         objects = self.dataset.objects
         return [objects[position] for position in positions.tolist()]

@@ -30,7 +30,7 @@ from .errors import ValidationError
 #: File format magic + version.  Bump the version on every change to what
 #: is pickled (see the module docstring).
 MAGIC = "repro-index"
-FORMAT_VERSION = 8
+FORMAT_VERSION = 9
 
 
 def save_index(index, path) -> None:

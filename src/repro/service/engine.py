@@ -604,11 +604,16 @@ class QueryEngine(ServingBase):
             self._structured = None
             self._keywords = None
             self._planner = None
-        # The numpy executor of both naive strategies, over the structured
-        # index's own kd-tree.  Built eagerly so the first query does not
-        # pay a hidden build cost; it pickles without its derived arrays.
+        # The numpy executor of all three strategies, over the structured
+        # index's own kd-tree and the fused indexes.  Built eagerly so the
+        # first query does not pay a hidden build cost; it pickles without
+        # its derived arrays and tables.
         self._fast = (
-            VectorizedBackend(dataset, self._structured.tree)
+            VectorizedBackend(
+                dataset,
+                self._structured.tree,
+                [self._index.fused_for(k) for k in range(2, max_k + 1)],
+            )
             if dataset.objects and self.backend != "cost_model"
             else None
         )
@@ -641,14 +646,16 @@ class QueryEngine(ServingBase):
         counter: CostCounter,
         backend: str = "cost_model",
     ) -> List[KeywordObject]:
+        if backend == "vectorized":
+            if strategy == "fused":
+                return self._fast.query_fused(rect, words, counter)
+            if strategy == "keywords_only":
+                return self._fast.query_rect(rect, words, counter)
+            return self._fast.query_structured(rect, words, counter)
         if strategy == "fused":
             return self._index.query(rect, words, counter)
         if strategy == "keywords_only":
-            if backend == "vectorized":
-                return self._fast.query_rect(rect, words, counter)
             return self._keywords.query_rect(rect, words, counter)
-        if backend == "vectorized":
-            return self._fast.query_structured(rect, words, counter)
         return self._structured.query_rect(rect, words, counter)
 
     # -- serving ----------------------------------------------------------------

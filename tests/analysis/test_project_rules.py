@@ -15,12 +15,16 @@ from repro.trace.span import Tracer
 REPO_ROOT = Path(__file__).resolve().parents[2]
 SRC = REPO_ROOT / "src"
 
-#: The files participating in the two parity families: keyword
-#: intersection, and structured-only (kd-tree walk + keyword filter).
+#: The files participating in the three parity families: keyword
+#: intersection, structured-only (kd-tree walk + keyword filter), and fused
+#: (rank-space conversion + the Theorem-1 descent).
 PARITY_FILES = [
     "repro/core/baselines.py",
     "repro/ksi/inverted.py",
     "repro/kdtree/tree.py",
+    "repro/core/orp_kw.py",
+    "repro/core/transform.py",
+    "repro/geometry/rank_space.py",
     "repro/fast/arrays.py",
     "repro/fast/backend.py",
 ]
@@ -82,6 +86,28 @@ class TestSeededMutation:
         (finding,) = findings
         assert finding.rule == "R9"
         assert "parity family 'structured-only'" in finding.message
+        assert "'nodes_visited'" in finding.message
+        assert finding.path.endswith("fast/backend.py")
+
+    def test_deleting_one_fused_walk_charge_yields_exactly_one_finding(self, tmp_path):
+        """The fused drill: drop the nodes_visited batch charge from the
+        vectorized Theorem-1 walk (``fast/arrays.py:fused_range``) and R9
+        must report exactly one finding, in the fused family, naming the
+        now-unmirrored category."""
+        sandbox = _copy_parity_sandbox(tmp_path)
+        arrays = sandbox / "repro/fast/arrays.py"
+        text = arrays.read_text()
+        target = 'counter.charge("nodes_visited", nodes)'
+        assert text.count(target) == 1, "seeded-mutation target moved; update the drill"
+        arrays.write_text(text.replace(target, "pass"))
+
+        findings = analyze_paths(
+            [sandbox], root=sandbox, rules=select_rules(["R9"])
+        )
+        assert len(findings) == 1
+        (finding,) = findings
+        assert finding.rule == "R9"
+        assert "parity family 'fused'" in finding.message
         assert "'nodes_visited'" in finding.message
         assert finding.path.endswith("fast/backend.py")
 

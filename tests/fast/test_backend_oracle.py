@@ -16,6 +16,7 @@ import pytest
 
 from repro.analysis.runner import analyze_paths
 from repro.core.baselines import KeywordsOnlyIndex, StructuredOnlyIndex
+from repro.core.multi_k import MultiKOrpIndex
 from repro.costmodel import CATEGORIES, CostCounter
 from repro.dataset import Dataset, KeywordObject, make_objects
 from repro.errors import BudgetExceeded, ValidationError
@@ -392,6 +393,257 @@ class TestStructuredOnlyOracle:
         )
 
 
+#: The fused sweep adds a dense corpus (five keywords, three to five per
+#: document), where several keywords stay large below the root, so the
+#: k = 3 and k = 4 transforms descend too.
+FUSED_WORKLOADS = WORKLOADS + ("dense",)
+
+
+def fused_dataset(name: str, seed: int) -> Dataset:
+    if name != "dense":
+        return workload_dataset(name, seed, num_objects=240)
+    rng = random.Random(seed + 1700)
+    points = [(10 * rng.random(), 10 * rng.random()) for _ in range(400)]
+    docs = [rng.sample(range(1, 6), rng.randint(3, 5)) for _ in points]
+    return Dataset(make_objects(points, docs))
+
+
+def fused_pair(dataset: Dataset, max_k: int = 4):
+    """The scalar Theorem-1 indexes (one per k in 2..max_k, as a
+    MultiKOrpIndex builds them) and a vectorized backend mirroring them."""
+    multi = MultiKOrpIndex(dataset, max_k)
+    indexes = [multi.fused_for(k) for k in range(2, max_k + 1)]
+    return multi, VectorizedBackend(dataset, StructuredOnlyIndex(dataset).tree, indexes)
+
+
+def run_fused_both(multi, backend, rect, words, budget=None, spent=0):
+    """``run_both`` for the fused strategy: ``OrpKwIndex.query`` for
+    ``len(words)`` keywords against ``VectorizedBackend.query_fused``."""
+    outcomes = []
+    for query in (multi.fused_for(len(words)).query, backend.query_fused):
+        counter = CostCounter(budget=budget)
+        if spent:
+            counter.charge("comparisons", spent)
+        try:
+            ids = [obj.oid for obj in query(rect, words, counter)]
+            outcomes.append(("served", ids, counter.snapshot()))
+        except BudgetExceeded:
+            outcomes.append(("exceeded", counter.snapshot()))
+    return outcomes
+
+
+def fused_charges(index, rect, words):
+    """The scalar fused path's charges, in order, as (place, units): a
+    replay of ``KeywordTransform._visit_node`` over the index's nodes.  The
+    rank-space conversion charges two comparisons per axis; a node visit
+    one unit; a node with large keywords a ``k``-unit probe; an object of a
+    scanned pivot set or materialized list one unit each; a child table
+    one probe."""
+    charges = [("comparisons", 2)] * index.dim
+    rank_rect = index.rank_map.rect_to_rank(rect)
+    key = tuple(sorted(words))
+
+    def visit(node):
+        charges.append(("node", 1))
+        if node.children or node.materialized:
+            charges.append(("k-probe", len(words)))
+            small = next((w for w in words if w not in node.large), None)
+            if small is not None:
+                scanned = node.materialized.get(small, ())
+                charges.extend([("materialized", 1)] * len(scanned))
+                return
+        charges.extend([("pivot", 1)] * len(node.pivot))
+        for child, combos in zip(node.children, node.combos):
+            charges.append(("child-probe", 1))
+            if key in combos and rank_rect.intersects(child.cell):
+                visit(child)
+
+    visit(index.transform.root)
+    return charges
+
+
+def fused_crossings(charges):
+    """Budgets, with the total each raises at, whose crossing unit falls on
+    each kind of place: the first, a middle and the last comparison, node
+    visit and child probe, the first and last unit of every k-probe, and
+    the first, middle and last object of each scanned pivot set and
+    materialized list.  Budget ``b`` crosses at unit ``b + 1``; a charge of
+    several units crosses whole, so it raises at the charge's end."""
+    spans, kinds, total = [], {}, 0
+    budgets = {}
+    for place, units in charges:
+        if place in ("pivot", "materialized"):
+            if spans and spans[-1][0] == place and spans[-1][2] == total:
+                spans[-1][2] = total + 1
+            else:
+                spans.append([place, total, total + 1])
+        elif place == "k-probe":
+            budgets[total] = budgets[total + units - 1] = (place, total + units)
+        else:
+            kinds.setdefault(place, []).append((total, total + units))
+        total += units
+    for place, at_end in kinds.items():
+        for at, end in (at_end[0], at_end[len(at_end) // 2], at_end[-1]):
+            budgets[at] = (place, end)
+    for place, start, stop in spans:
+        for at in (start, (start + stop - 1) // 2, stop - 1):
+            budgets[at] = (place, at + 1)
+    return budgets
+
+
+class TestFusedOracle:
+    """OrpKwIndex.query against VectorizedBackend.query_fused: the same ids
+    in the same order and the same snapshot, served or raised, wherever a
+    budget crosses."""
+
+    @pytest.mark.parametrize("workload", FUSED_WORKLOADS)
+    @pytest.mark.parametrize("seed", range(3))
+    def test_rect_and_budget_sweep(self, workload, seed):
+        dataset = fused_dataset(workload, seed)
+        span = bounding_span(dataset)
+        multi, backend = fused_pair(dataset)
+        # Up to 8 corpus keywords; the disjoint corpus has two, so absent
+        # keywords fill its 3- and 4-keyword queries.
+        words_pool = sorted({w for obj in dataset.objects for w in obj.doc})[:8]
+        words_pool += [9996, 9997, 9998, 9999][: max(0, 4 - len(words_pool))]
+        rng = random.Random(seed + 1300)
+        crossed, deepest = Counter(), Counter()
+        for _ in range(12):
+            side = rng.uniform(0.1, 0.7) * span
+            x, y = rng.uniform(-0.1, span - side), rng.uniform(-0.1, span - side)
+            rect = Rect((x, y), (x + side, y + side))
+            for k in (2, 3, 4):
+                words = rng.sample(words_pool, k)
+                served = run_fused_both(multi, backend, rect, words)
+                assert served[0] == served[1], (workload, seed, rect, words)
+                charges = fused_charges(multi.fused_for(k), rect, words)
+                total = sum(units for _place, units in charges)
+                assert total == served[0][2]["total"]
+                visited = sum(1 for place, _units in charges if place == "node")
+                deepest[k] = max(deepest[k], visited)
+                budgets = fused_crossings(charges)
+                for budget in sorted(budgets) + [rng.randint(0, total)]:
+                    outcomes = run_fused_both(multi, backend, rect, words, budget)
+                    assert outcomes[0] == outcomes[1], (workload, seed, rect, words, budget)
+                    if budget in budgets:
+                        place, raised = budgets[budget]
+                        assert outcomes[0] == ("exceeded", outcomes[0][1])
+                        assert outcomes[0][1]["total"] == raised
+                        crossed[place] += 1
+                # A counter that already spent part of its budget.
+                outcomes = run_fused_both(multi, backend, rect, words, total // 2 + 3, spent=3)
+                assert outcomes[0] == outcomes[1], (workload, seed, rect, words)
+        places = {"comparisons", "node", "k-probe", "child-probe", "pivot", "materialized"}
+        if workload == "disjoint":
+            # Keywords 1 and 2 never share an object, so no query descends
+            # to a node that scans a materialized list.
+            places.discard("materialized")
+        assert places <= set(crossed), crossed
+        if workload == "dense":
+            assert min(deepest.values()) > 1, deepest
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_dimensions_and_repeated_coordinates(self, dim):
+        rng = random.Random(dim + 40)
+        # Half the points on a 3-value grid: repeated coordinates, which rank
+        # space separates by object id.
+        points = [
+            tuple(rng.choice((0.0, 0.5, 1.0)) if i % 2 else rng.random() for _ in range(dim))
+            for i in range(160)
+        ]
+        dataset = points_dataset(points, seed=dim, vocabulary=5)
+        multi, backend = fused_pair(dataset, max_k=3)
+        grid_point = next(p for i, p in enumerate(points) if i % 2)
+        rects = [
+            Rect((-1e9,) * dim, (1e9,) * dim),
+            Rect.full(dim),
+            Rect((5.0,) * dim, (6.0,) * dim),  # misses every point
+            Rect((0.3,) * dim, (0.3,) * dim),  # an empty rank interval
+            Rect(grid_point, grid_point),  # zero area, on repeated points
+            Rect((0.5,) + (0.0,) * (dim - 1), (0.5,) + (1.0,) * (dim - 1)),  # zero width
+        ]
+        for _ in range(8):
+            corners = [sorted((rng.uniform(-0.1, 1.1), rng.uniform(-0.1, 1.1))) for _ in range(dim)]
+            rects.append(Rect([c[0] for c in corners], [c[1] for c in corners]))
+        for rect in rects:
+            for words in ([1, 2], [2, 3, 4], [1, 9999], [3, 9998, 9999]):
+                served = run_fused_both(multi, backend, rect, words)
+                assert served[0] == served[1], (dim, rect, words)
+                charges = fused_charges(multi.fused_for(len(words)), rect, words)
+                for budget in sorted(fused_crossings(charges)):
+                    outcomes = run_fused_both(multi, backend, rect, words, budget)
+                    assert outcomes[0] == outcomes[1], (dim, rect, words, budget)
+
+    def test_edges_match_the_scalar_path(self):
+        dataset = workload_dataset("zipf", 0)
+        multi, backend = fused_pair(dataset, max_k=3)
+        index = multi.fused_for(2)
+        rect = Rect((0.0, 0.0), (5.0, 5.0))
+        # A rectangle of another dimension and repeated keywords: the scalar
+        # path's errors, before any charge.
+        for bad_rect, words, match in (
+            (Rect((0.0,), (1.0,)), [1, 2], "1-dimensional, data is 2-dimensional"),
+            (rect, [3, 3], "distinct"),
+        ):
+            for query in (index.query, backend.query_fused):
+                counter = CostCounter()
+                with pytest.raises(ValidationError, match=match):
+                    query(bad_rect, words, counter)
+                assert counter.snapshot() == {"total": 0}
+        # A keyword count with no index behind it.
+        for words in ([1], [1, 2, 3, 4]):
+            with pytest.raises(ValidationError, match="no fused index"):
+                backend.query_fused(rect, words)
+        # The fused strategy reads the corpus's coordinates from the tree.
+        with pytest.raises(ValidationError, match="kd-tree"):
+            VectorizedBackend(dataset, None, [index])
+
+    def test_traced_charges_match_untraced_and_sum_to_the_spans(self):
+        dataset = workload_dataset("planted", 1, num_objects=240)
+        multi, backend = fused_pair(dataset, max_k=3)
+        rng = random.Random(41)
+        span = bounding_span(dataset)
+        for _ in range(10):
+            rect = random_rect(rng, span)
+            words = rng.sample(range(1, 9), rng.randint(2, 3))
+            for budget in (None, 40):
+                plain = run_fused_both(multi, backend, rect, words, budget)[1]
+                traced = CostCounter(budget=budget)
+                traced.tracer = Tracer("query", "test")
+                try:
+                    ids = [o.oid for o in backend.query_fused(rect, words, traced)]
+                    outcome = ("served", ids, traced.snapshot())
+                except BudgetExceeded:
+                    outcome = ("exceeded", traced.snapshot())
+                tree = traced.tracer.finish().to_dict()
+                assert outcome == plain, (rect, words, budget)
+                assert _leaf_total(tree) == traced.total
+                names = {child["name"] for child in tree.get("children") or []}
+                assert names == {"fused-walk"}
+
+    def test_pickled_engine_rebuilds_its_tables(self):
+        import pickle
+
+        dataset = workload_dataset("zipf", 2, num_objects=240)
+        engine = QueryEngine(dataset, max_k=3, cache_size=0, backend="vectorized")
+        clone = pickle.loads(pickle.dumps(engine))
+        assert sorted(clone._fast.fused) == [2, 3]
+        for k, table in clone._fast.fused.items():
+            assert table.index is clone._index.fused_for(k)
+            original = engine._fast.fused[k]
+            assert table is not original
+            assert table.positions.tolist() == original.positions.tolist()
+        rng = random.Random(43)
+        span = bounding_span(dataset)
+        for _ in range(10):
+            rect = random_rect(rng, span)
+            words = rng.sample(range(1, 9), rng.randint(2, 3))
+            for budget in (None, 25):
+                assert run_fused_both(clone._index, clone._fast, rect, words, budget) == (
+                    run_fused_both(engine._index, engine._fast, rect, words, budget)
+                )
+
+
 class TestEngineSweep:
     """The full differential matrix: workloads x seeds x budgets x sharding."""
 
@@ -461,6 +713,52 @@ class TestEngineSweep:
                     )
         assert walked["cost_model"] == 0
         assert walked["vectorized"] > 0 and walked["auto"] > 0
+
+    def test_fused_picks_run_vectorized(self):
+        """Mid-frequency keyword pairs over mid-size squares (fused-lowout's
+        regime, scaled down): the planner picks the fused index, which
+        ``vectorized`` and ``auto`` engines serve on the numpy path (their
+        traces hold its ``fused-walk`` span) with records identical to the
+        scalar engine's but for the backend and the trace, under budgets
+        that abandon it too."""
+        dataset = zipf_dataset(
+            WorkloadConfig(
+                num_objects=4000, dim=2, vocabulary=64, doc_min=1, doc_max=5, seed=4,
+            )
+        )
+        span = bounding_span(dataset)
+        frequency = Counter(word for obj in dataset.objects for word in obj.doc)
+        mid = sorted(frequency, key=frequency.get, reverse=True)[3:16]
+        assert min(frequency[w] for w in mid) >= QueryEngine.AUTO_MIN_CANDIDATES
+        engines = {
+            backend: QueryEngine(dataset, max_k=2, cache_size=0, backend=backend, tracing=True)
+            for backend in ("cost_model", "vectorized", "auto")
+        }
+        rng = random.Random(79)
+        fused_picks = Counter()
+        for _ in range(60):
+            side = rng.uniform(0.2, 0.35) * span
+            x, y = rng.uniform(0, span - side), rng.uniform(0, span - side)
+            rect = Rect((x, y), (x + side, y + side))
+            words = rng.sample(mid, 2)
+            for budget in (None, 8, 150):
+                records = {}
+                for backend, engine in engines.items():
+                    engine.query(rect, words, budget=budget)
+                    record = engine.last_record.to_dict()
+                    assert _leaf_total(record["trace"]) == record["cost"]["total"]
+                    if record["strategy"] == "fused":
+                        walked = "fused-walk" in _span_names(record["trace"])
+                        assert walked == (backend != "cost_model"), (backend, rect, words)
+                        fused_picks[backend] += 1
+                    records[backend] = dict(record, trace=None)
+                oracle = records.pop("cost_model")
+                for backend, record in records.items():
+                    assert dict(record, backend="cost_model") == oracle, (
+                        backend, rect, words, budget,
+                    )
+                    assert record["backend"] == "vectorized"
+        assert fused_picks["vectorized"] == fused_picks["auto"] >= 5, fused_picks
 
     @pytest.mark.parametrize("shards", [1, 3])
     def test_sharded_backends_agree(self, shards):

@@ -85,10 +85,11 @@ class TestFormatVersionGuard:
         index arrays, format 6 the one whose ORP-KW indexes kept their whole
         verbose-set kd-tree, format 7 the one whose nearest-neighbour indexes
         kept a ``budget_factor`` and whose multi-k index had no keywords-only
-        index; their files are refused, not migrated, even when the stored
+        index, format 8 the one whose vectorized backend pickled no fused
+        indexes; their files are refused, not migrated, even when the stored
         object would load."""
         engine = QueryEngine(random_dataset(rng, 30), max_k=2)
-        for old in (1, 3, 4, 5, 6, 7):
+        for old in (1, 3, 4, 5, 6, 7, 8):
             envelope = {
                 "magic": MAGIC,
                 "format": old,
