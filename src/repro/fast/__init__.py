@@ -1,9 +1,10 @@
 """Vectorized numpy execution backend (the cost-model path is the oracle).
 
-See DESIGN.md section 12: :class:`ArrayStore` lays a dataset out as
-contiguous numpy arrays, and :class:`VectorizedBackend` executes the
-keywords-only and structured-only rectangle strategies over it (the
-latter over the structured index's kd-tree).  Its one consumer is
+See DESIGN.md section 12: :class:`ArrayStore` holds a dataset's posting
+lists as numpy arrays of positions in ``dataset.objects``, and
+:class:`VectorizedBackend` executes the keywords-only, structured-only and
+fused rectangle strategies over it, the structured index's kd-tree and
+the fused indexes, in positions end to end.  Its one consumer is
 :class:`~repro.service.QueryEngine`, under ``backend="vectorized"`` or
 ``"auto"``.  Id lists and cost snapshots are identical to the instrumented
 scalar path's by construction and by differential test

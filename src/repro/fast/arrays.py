@@ -1,11 +1,14 @@
-"""Contiguous-array data layout for the vectorized execution backend.
+"""Position-space data layout for the vectorized execution backend.
 
 The cost-model implementations walk Python objects one at a time; this
-module lays the same data out as numpy arrays and plain lists so each
-strategy's hot loops run as a handful of vectorized passes:
+module lays the same data out as numpy arrays and plain lists of positions
+in ``dataset.objects``, the point order of a kd-tree built over the
+dataset, so each strategy's hot loops run as a handful of vectorized
+passes that gather, test and report positions:
 
-* keywords-only — :meth:`ArrayStore.intersect` and the rectangle
-  post-filter;
+* keywords-only — :meth:`ArrayStore.intersect` narrows the shortest
+  posting list, and the caller tests the survivors' rows of the tree's
+  points;
 * structured-only — :func:`kd_range` walks a kd-tree's :class:`KdTable`
   as :meth:`~repro.kdtree.tree.KdTree.range_query` walks the tree, but
   reports and tests its points as spans of the tree's permutation, and
@@ -14,6 +17,8 @@ strategy's hot loops run as a handful of vectorized passes:
   :class:`FusedTable` as the transform's scalar descent walks its nodes,
   and gathers the pivot sets and materialized lists it scans as spans of
   one position array, which the caller tests in one pass.
+
+Every keyword test is one :meth:`ArrayStore.holds` mask pass.
 
 Correctness contract (the oracle contract, DESIGN.md section 12): every
 predicate here mirrors its scalar counterpart *operation for operation*, so
@@ -53,86 +58,68 @@ from ..kdtree.tree import KdNode, KdTree
 
 
 class ArrayStore:
-    """Array mirror of a :class:`~repro.dataset.Dataset`.
+    """A :class:`~repro.dataset.Dataset`'s posting lists as position arrays.
 
-    Holds the coordinates as one contiguous ``(n, d)`` float64 block (rows
-    in ascending object-id order) and each posting list twice, as sorted
-    int64 arrays: of object ids (:attr:`postings`), and of positions in
-    ``dataset.objects`` (:attr:`position_postings`), the point order of a
-    kd-tree built over the dataset.  Built once per dataset and shared by
-    every vectorized executor over it.
+    :attr:`postings` maps each keyword to an int64 array of the positions
+    in ``dataset.objects`` (the point order of a kd-tree built over the
+    dataset) of the objects holding it, listed in ascending object-id
+    order, the order of :class:`~repro.ksi.inverted.InvertedIndex`'s
+    lists.  The arrays are read-only: :meth:`intersect` hands a
+    one-keyword query's list out as it is.  Built once per dataset and
+    shared by every vectorized executor over it.
     """
 
     def __init__(self, dataset: Dataset):
         self.dataset = dataset
-        ordered = sorted(dataset.objects, key=lambda obj: obj.oid)
-        self.oids = np.array([obj.oid for obj in ordered], dtype=np.int64)
-        if ordered:
-            self.coords = np.array(
-                [obj.point for obj in ordered], dtype=np.float64
-            )
-        else:
-            self.coords = np.zeros((0, dataset.dim or 1), dtype=np.float64)
-        positions: Dict[int, List[int]] = {}
-        for position, obj in enumerate(dataset.objects):
-            for word in obj.doc:
-                positions.setdefault(word, []).append(position)
-        self.position_postings: Dict[int, np.ndarray] = {
-            word: np.array(plist, dtype=np.int64) for word, plist in positions.items()
-        }
-        position_oids = np.array([obj.oid for obj in dataset.objects], dtype=np.int64)
-        self.postings: Dict[int, np.ndarray] = {
-            word: np.sort(position_oids[plist])
-            for word, plist in self.position_postings.items()
-        }
-
-    def frequency(self, keyword: int) -> int:
-        """``|D(w)|`` (mirrors :meth:`InvertedIndex.frequency`)."""
-        plist = self.postings.get(keyword)
-        return 0 if plist is None else int(plist.size)
-
-    def rows(self, oids: np.ndarray) -> np.ndarray:
-        """Row indexes into :attr:`coords` for known object ids."""
-        return np.searchsorted(self.oids, oids)
+        objects = dataset.objects
+        lists: Dict[int, List[int]] = {}
+        for position in sorted(range(len(objects)), key=lambda p: objects[p].oid):
+            for word in objects[position].doc:
+                lists.setdefault(word, []).append(position)
+        self.postings: Dict[int, np.ndarray] = {}
+        for word, plist in lists.items():
+            postings = np.array(plist, dtype=np.int64)
+            postings.flags.writeable = False
+            self.postings[word] = postings
 
     # -- vectorized passes ------------------------------------------------------
 
     def intersect(
         self, keywords: Sequence[int], counter: Optional[CostCounter] = None
     ) -> np.ndarray:
-        """``D(w1..wk)`` as a sorted int64 oid array.
+        """``D(w1..wk)`` as an int64 position array, in ascending oid order.
 
         Mirrors :meth:`InvertedIndex.matching_objects` exactly: the same
-        shortest-list-first order (stable sort by frequency), the same
+        shortest-list-first order (stable sort by list length), the same
         charge totals (one ``objects_examined`` per shortest-list entry, one
         ``structure_probes`` per membership test actually performed — a
         candidate already eliminated by an earlier keyword is never probed
-        for a later one), and the same result order (ascending oid).  When
-        the total would cross the counter's budget, only the scalar loop's
-        charges up to the crossing unit land (:meth:`_crossing_charges`).
+        for a later one), and the same result order.  Each further keyword
+        narrows the candidates with one :meth:`holds` pass.  When the total
+        would cross the counter's budget, only the scalar loop's charges up
+        to the crossing unit land (:meth:`_crossing_charges`).
         """
         counter = ensure_counter(counter)
         words = list(keywords)
-        if any(self.postings.get(w) is None for w in words):
+        if any(w not in self.postings for w in words):
             return np.empty(0, dtype=np.int64)
-        words.sort(key=self.frequency)
-        shortest = self.postings[words[0]]
-        alive = np.ones(shortest.size, dtype=bool)
+        words.sort(key=lambda w: self.postings[w].size)
+        shortest = candidates = self.postings[words[0]]
         probes: List[int] = []
         for word in words[1:]:
-            live = int(alive.sum())
+            live = candidates.size
             if live == 0:
                 break
             probes.append(live)
-            alive &= np.isin(shortest, self.postings[word], assume_unique=True)
-        examined = int(shortest.size)
+            candidates = candidates[self.holds(candidates, word)]
+        examined = shortest.size
         remaining = counter.remaining
         if remaining is not None and examined + sum(probes) > remaining:
             examined, probes = self._crossing_charges(shortest, words[1:], remaining + 1)
         counter.charge("objects_examined", examined)
         for live in probes:
             counter.charge("structure_probes", live)
-        return shortest[alive]
+        return candidates
 
     def _crossing_charges(
         self, shortest: np.ndarray, rest: Sequence[int], units: int
@@ -148,16 +135,10 @@ class ArrayStore:
         alive = np.ones(shortest.size, dtype=bool)
         for word in rest:
             per += alive
-            alive &= np.isin(shortest, self.postings[word], assume_unique=True)
+            alive &= self.holds(shortest, word)
         crossing = int(np.searchsorted(np.cumsum(per), units))
         examined = crossing + 1
         return examined, [units - examined] if units > examined else []
-
-    def rect_mask(self, oids: np.ndarray, rect: Rect) -> np.ndarray:
-        """Closed containment mask over the points with the given oids:
-        :meth:`Rect.contains_points` over their rows of the coordinate
-        block."""
-        return rect.contains_points(self.coords[self.rows(oids)])
 
     def keyword_filter(
         self, positions: np.ndarray, words: Sequence[int], counter: CostCounter
@@ -183,20 +164,24 @@ class ArrayStore:
 
     def holding(self, positions: np.ndarray, words: Sequence[int]) -> np.ndarray:
         """The positions whose documents hold every keyword of ``words``, in
-        the given order, uncharged: one membership pass per keyword.  The
-        keyword's :attr:`position_postings` are marked in a mask over the
-        positions, made for the pass and dropped after it, and the
-        candidates read it."""
+        the given order, uncharged: one :meth:`holds` pass per keyword."""
         for word in words:
             if not positions.size:
                 break
-            plist = self.position_postings.get(word)
-            if plist is None:
+            if word not in self.postings:
                 return positions[:0]
-            held = np.zeros(len(self.dataset.objects), dtype=bool)
-            held[plist] = True
-            positions = positions[held[positions]]
+            positions = positions[self.holds(positions, word)]
         return positions
+
+    def holds(self, positions: np.ndarray, word: int) -> np.ndarray:
+        """Which of ``positions`` hold ``word`` (a keyword with postings), as
+        a boolean array: the membership test of every pass here.  The
+        keyword's :attr:`postings` are marked in a mask over the corpus,
+        made for the pass and dropped after it, and the positions read
+        it."""
+        held = np.zeros(len(self.dataset.objects), dtype=bool)
+        held[self.postings[word]] = True
+        return held[positions]
 
 
 class KdTable:

@@ -51,20 +51,20 @@ def validate_backend(name: str) -> str:
 
 class VectorizedBackend:
     """Numpy executor for the keywords-only, structured-only and fused
-    strategies.
+    strategies, all three in positions in ``dataset.objects``.
 
     ``dataset`` is the corpus; the executor reports the same
     :class:`~repro.dataset.KeywordObject` instances as the scalar path.
     ``tree`` is the kd-tree of the :class:`StructuredOnlyIndex
     <repro.core.baselines.StructuredOnlyIndex>` whose answers
-    :meth:`query_structured` reproduces (``None`` for an empty corpus, or
-    when only :meth:`query_rect` is used).  ``fused`` holds the
-    :class:`~repro.core.orp_kw.OrpKwIndex` over ``dataset`` for each
-    keyword count :meth:`query_fused` serves; they need ``tree``, whose
-    points are the corpus's coordinates in position order.  The backend
-    reads the tree and the indexes and holds no copy: pickling keeps the
-    dataset, the tree and the indexes and drops the derived arrays and
-    tables, which unpickling rebuilds.
+    :meth:`query_structured` reproduces; its points, the corpus's
+    coordinates in position order, are the ones every strategy tests.  It
+    is required unless the corpus is empty (``None`` then).  ``fused``
+    holds the :class:`~repro.core.orp_kw.OrpKwIndex` over ``dataset`` for
+    each keyword count :meth:`query_fused` serves.  The backend reads the
+    tree and the indexes and holds no copy: pickling keeps the dataset, the
+    tree and the indexes and drops the derived arrays and tables, which
+    unpickling rebuilds.
     """
 
     name = "vectorized"
@@ -72,11 +72,11 @@ class VectorizedBackend:
     def __init__(
         self,
         dataset: Dataset,
-        tree: Optional[KdTree] = None,
+        tree: Optional[KdTree],
         fused: Sequence[OrpKwIndex] = (),
     ):
-        if fused and tree is None:
-            raise ValidationError("the fused strategy needs the corpus's kd-tree")
+        if tree is None and dataset.objects:
+            raise ValidationError("the vectorized backend needs the corpus's kd-tree")
         self.dataset = dataset
         self.tree = tree
         self.store = ArrayStore(dataset)
@@ -99,21 +99,28 @@ class VectorizedBackend:
         keywords: Sequence[int],
         counter: Optional[CostCounter] = None,
     ) -> List[KeywordObject]:
-        """Vectorized ``KeywordsOnlyIndex.query_rect``.
+        """Vectorized ``KeywordsOnlyIndex.query_rect``: the same ids in the
+        same order, the same charges, and the same snapshot where a budget
+        raises.
 
-        One ``comparisons`` unit per intersection candidate (exactly the
-        scalar post-filter's charge), batched into a single charge inside
-        the filter span (:func:`~repro.fast.arrays.charge_filter`).
+        :meth:`ArrayStore.intersect` narrows the shortest posting list
+        (``intersect`` span); the survivors' rows of the tree's points are
+        tested in one :meth:`Rect.contains_points` pass at one
+        ``comparisons`` unit per candidate (``rect-filter`` span,
+        :func:`~repro.fast.arrays.charge_filter`).  A rectangle of another
+        dimension raises before any charge, as on the scalar path.
         """
         counter = ensure_counter(counter)
+        rect.require_dim(self.dataset.dim)
         words = validate_nonempty_keywords(keywords)
         with span_for(counter, "intersect", "fast", keywords=len(words)):
-            oids = self.store.intersect(words, counter)
-        with span_for(counter, "rect-filter", "fast", candidates=int(oids.size)):
-            if oids.size:
-                charge_filter(counter, int(oids.size))
-                oids = oids[self.store.rect_mask(oids, rect)]
-        return [self.dataset[int(oid)] for oid in oids]
+            positions = self.store.intersect(words, counter)
+        with span_for(counter, "rect-filter", "fast", candidates=int(positions.size)):
+            if positions.size:
+                charge_filter(counter, int(positions.size))
+                positions = positions[rect.contains_points(self.tree.points[positions])]
+        objects = self.dataset.objects
+        return [objects[position] for position in positions.tolist()]
 
     def query_structured(
         self,
@@ -134,8 +141,6 @@ class VectorizedBackend:
         """
         counter = ensure_counter(counter)
         if self.tree is None:
-            if self.dataset.objects:
-                raise ValidationError("structured-only needs the corpus's kd-tree")
             rect.require_dim(self.dataset.dim)
             validate_nonempty_keywords(keywords)
             return []

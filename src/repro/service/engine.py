@@ -621,9 +621,9 @@ class QueryEngine(ServingBase):
     # -- planning ---------------------------------------------------------------
 
     #: Below this keywords-only candidate estimate the numpy fast path's
-    #: fixed per-call overhead (array allocation, searchsorted) eats its
-    #: batching win, so ``auto`` stays on the scalar path.  DESIGN.md §12
-    #: tabulates the measured crossover.
+    #: fixed per-call overhead (its numpy calls, and a membership mask over
+    #: the corpus per keyword pass) eats its batching win, so ``auto`` stays
+    #: on the scalar path.  DESIGN.md §12 tabulates the measured crossover.
     AUTO_MIN_CANDIDATES = 64
 
     def _resolve_backend(self, estimates: Dict[str, float]) -> str:

@@ -3,13 +3,14 @@ the boundaries the vectorized paths must classify exactly as the scalar
 paths do.
 
 The drawn corpora hold duplicate points, points on one line, coordinates
-from 1e-6 to 1e6, and one-word and ``max_k``-word documents.  The drawn
-rectangles put their sides on data coordinates (so on kd split values and
-rank-space boundaries) or give them zero width.  For each of the three
-strategies the numpy backend serves — keywords-only, structured-only and
-fused — the vectorized path must return the scalar path's ids in its order
-with its cost snapshot, unbudgeted and at a drawn budget, raised snapshots
-included.
+from 1e-6 to 1e6, one-word and ``max_k``-word documents, and sparse object
+ids in a drawn order, so that, as in a shard, a position in
+``dataset.objects`` is not an id.  The drawn rectangles put their sides on
+data coordinates (so on kd split values and rank-space boundaries) or give
+them zero width.  For each of the three strategies the numpy backend
+serves — keywords-only, structured-only and fused — the vectorized path
+must return the scalar path's ids in its order with its cost snapshot,
+unbudgeted and at a drawn budget, raised snapshots included.
 
 Tier-1 runs the property derandomized; the ``fuzz-long`` CI job runs it
 unseeded at ten times the examples (``helpers.fuzz_settings``).
@@ -21,7 +22,7 @@ from hypothesis import strategies as st
 from repro.core.baselines import StructuredOnlyIndex
 from repro.core.multi_k import MultiKOrpIndex
 from repro.costmodel import CostCounter
-from repro.dataset import Dataset, make_objects
+from repro.dataset import Dataset, KeywordObject
 from repro.errors import BudgetExceeded
 from repro.fast import VectorizedBackend
 from repro.geometry.rectangles import Rect
@@ -40,7 +41,8 @@ magnitudes = st.floats(min_value=1e-6, max_value=1e6, allow_nan=False, allow_inf
 def corpora(draw):
     """A small corpus whose coordinates repeat: each axis draws from a
     handful of values, so points coincide and share kd split values; with
-    ``line`` every point also shares its first coordinate."""
+    ``line`` every point also shares its first coordinate.  The object ids
+    are sparse (multiples of 7) in a drawn permutation."""
     dim = draw(st.integers(1, 3), label="dim")
     values = [
         draw(st.lists(magnitudes, min_size=1, max_size=5), label=f"axis {axis} values")
@@ -48,17 +50,18 @@ def corpora(draw):
     ]
     line = draw(st.booleans(), label="line")
     count = draw(st.integers(1, 30), label="objects")
-    points, docs = [], []
-    for _ in range(count):
+    ids = draw(st.permutations(range(0, 7 * count, 7)), label="ids")
+    objects = []
+    for oid in ids:
         point = [draw(st.sampled_from(axis_values)) for axis_values in values]
         if line:
             point[0] = values[0][0]
-        points.append(tuple(point))
         size = draw(st.sampled_from((1, MAX_K)))
-        docs.append(draw(st.lists(
+        doc = draw(st.lists(
             st.integers(1, VOCABULARY), min_size=size, max_size=size, unique=True,
-        )))
-    return Dataset(make_objects(points, docs)), values
+        ))
+        objects.append(KeywordObject(oid, tuple(point), frozenset(doc)))
+    return Dataset(objects), values
 
 
 @st.composite

@@ -60,6 +60,21 @@ def bounding_span(dataset: Dataset) -> float:
     return max(max(obj.point) for obj in dataset.objects)
 
 
+def backend_for(dataset: Dataset) -> VectorizedBackend:
+    """A vectorized backend over the kd-tree a StructuredOnlyIndex builds."""
+    return VectorizedBackend(dataset, StructuredOnlyIndex(dataset).tree)
+
+
+def out_of_oid_order(rng) -> Dataset:
+    """Positions in dataset.objects are not object ids: sparse ids in
+    shuffled order, as a shard's subset holds them."""
+    return Dataset([
+        KeywordObject(oid=oid, point=(rng.random(), rng.random()),
+                      doc=frozenset(rng.sample(range(1, 5), 2)))
+        for oid in rng.sample(range(10, 1000), 80)
+    ])
+
+
 def assert_same_answer_and_cost(scalar_pair, vectorized_pair, context=()):
     """Identical result order *and* identical per-category cost charges."""
     (scalar_result, scalar_counter) = scalar_pair
@@ -92,7 +107,7 @@ class TestKeywordsOnlyOracle:
         span = bounding_span(dataset)
         rng = random.Random(seed + 100)
         scalar = KeywordsOnlyIndex(dataset)
-        vectorized = VectorizedBackend(dataset)
+        vectorized = backend_for(dataset)
         for _ in range(12):
             rect = random_rect(rng, span)
             words = rng.sample(range(1, 9), rng.randint(1, 3))
@@ -109,7 +124,7 @@ class TestKeywordsOnlyOracle:
         c1, c2 = CostCounter(), CostCounter()
         assert_same_answer_and_cost(
             (KeywordsOnlyIndex(dataset).query_rect(rect, [1, 2], c1), c1),
-            (VectorizedBackend(dataset).query_rect(rect, [1, 2], c2), c2),
+            (backend_for(dataset).query_rect(rect, [1, 2], c2), c2),
         )
 
     def test_absent_keyword_short_circuits_identically(self):
@@ -118,7 +133,7 @@ class TestKeywordsOnlyOracle:
         rect = Rect((0.0, 0.0), (10.0, 10.0))
         assert_same_answer_and_cost(
             (KeywordsOnlyIndex(dataset).query_rect(rect, [1, 9999], c1), c1),
-            (VectorizedBackend(dataset).query_rect(rect, [1, 9999], c2), c2),
+            (backend_for(dataset).query_rect(rect, [1, 9999], c2), c2),
         )
 
     def test_single_object_dataset(self):
@@ -127,7 +142,7 @@ class TestKeywordsOnlyOracle:
             c1, c2 = CostCounter(), CostCounter()
             assert_same_answer_and_cost(
                 (KeywordsOnlyIndex(dataset).query_rect(rect, [1, 2], c1), c1),
-                (VectorizedBackend(dataset).query_rect(rect, [1, 2], c2), c2),
+                (backend_for(dataset).query_rect(rect, [1, 2], c2), c2),
             )
 
     def test_duplicate_keywords(self):
@@ -136,7 +151,7 @@ class TestKeywordsOnlyOracle:
         c1, c2 = CostCounter(), CostCounter()
         assert_same_answer_and_cost(
             (KeywordsOnlyIndex(dataset).query_rect(rect, [2, 2, 2], c1), c1),
-            (VectorizedBackend(dataset).query_rect(rect, [2, 2, 2], c2), c2),
+            (backend_for(dataset).query_rect(rect, [2, 2, 2], c2), c2),
         )
 
     def test_zero_area_rect(self):
@@ -146,7 +161,7 @@ class TestKeywordsOnlyOracle:
         rect = Rect((1.0, 2.0), (1.0, 2.0))
         c1, c2 = CostCounter(), CostCounter()
         scalar = KeywordsOnlyIndex(dataset).query_rect(rect, [1, 2], c1)
-        vector = VectorizedBackend(dataset).query_rect(rect, [1, 2], c2)
+        vector = backend_for(dataset).query_rect(rect, [1, 2], c2)
         assert [o.oid for o in scalar] == [o.oid for o in vector] == [0]
         assert c1.snapshot() == c2.snapshot()
 
@@ -161,7 +176,7 @@ class TestKeywordsOnlyOracle:
         for words in ([1], [1, 2], [2, 3, 5]):
             for budget in (1, 5, 30, 50, 100000):
                 outcomes = []
-                for index in (KeywordsOnlyIndex(dataset), VectorizedBackend(dataset)):
+                for index in (KeywordsOnlyIndex(dataset), backend_for(dataset)):
                     counter = CostCounter(budget=budget)
                     try:
                         index.query_rect(rect, words, counter)
@@ -169,6 +184,19 @@ class TestKeywordsOnlyOracle:
                     except BudgetExceeded:
                         outcomes.append(("exceeded", counter.snapshot()))
                 assert outcomes[0] == outcomes[1], (words, budget, outcomes)
+
+    def test_edges_match_the_scalar_path(self):
+        # A rectangle of another dimension: the scalar path's error, no charge.
+        dataset = Dataset(make_objects([(1.0, 2.0), (3.0, 4.0)], [[1, 2], [1, 2]]))
+        for index in (KeywordsOnlyIndex(dataset), backend_for(dataset)):
+            for rect, match in (
+                (Rect((0.0,), (3.0,)), "1-dimensional, data is 2-dimensional"),
+                (Rect((0.0,) * 3, (3.0,) * 3), "3-dimensional, data is 2-dimensional"),
+            ):
+                counter = CostCounter()
+                with pytest.raises(ValidationError, match=match):
+                    index.query_rect(rect, [1, 2], counter)
+                assert counter.snapshot() == {"total": 0}
 
 
 def structured_pair(dataset: Dataset):
@@ -178,11 +206,11 @@ def structured_pair(dataset: Dataset):
     return scalar, VectorizedBackend(dataset, scalar.tree)
 
 
-def run_both(scalar, vectorized, rect, words, budget=None, spent=0):
-    """Each path's outcome on a fresh counter (pre-charged ``spent``
+def run_queries(queries, rect, words, budget=None, spent=0):
+    """Each query's outcome on a fresh counter (pre-charged ``spent``
     comparisons): ("served", ids, snapshot) or ("exceeded", snapshot)."""
     outcomes = []
-    for query in (scalar.query_rect, vectorized.query_structured):
+    for query in queries:
         counter = CostCounter(budget=budget)
         if spent:
             counter.charge("comparisons", spent)
@@ -192,6 +220,12 @@ def run_both(scalar, vectorized, rect, words, budget=None, spent=0):
         except BudgetExceeded:
             outcomes.append(("exceeded", counter.snapshot()))
     return outcomes
+
+
+def run_both(scalar, vectorized, rect, words, budget=None, spent=0):
+    """``run_queries`` for the structured-only pair."""
+    queries = (scalar.query_rect, vectorized.query_structured)
+    return run_queries(queries, rect, words, budget, spent)
 
 
 def unit_labels(tree, rect, k, hits):
@@ -303,21 +337,35 @@ class TestStructuredOnlyOracle:
                     assert outcomes[0] == outcomes[1], (dim, rect, words, budget)
 
     def test_objects_out_of_oid_order(self):
-        # Positions in dataset.objects are not object ids: sparse ids in
-        # shuffled order, as a shard's subset holds them.
+        # The same queries go to the keywords-only and fused pairs, and the
+        # keywords-only pair also runs at every budget that crosses inside
+        # its intersection: results come back in oid order, not position
+        # order, and the crossing candidate is the scalar loop's.
         rng = random.Random(5)
-        objects = [
-            KeywordObject(oid=oid, point=(rng.random(), rng.random()),
-                          doc=frozenset(rng.sample(range(1, 5), 2)))
-            for oid in rng.sample(range(10, 1000), 80)
-        ]
-        dataset = Dataset(objects)
+        dataset = out_of_oid_order(rng)
         scalar, vectorized = structured_pair(dataset)
+        keywords_only = (KeywordsOnlyIndex(dataset).query_rect, vectorized.query_rect)
+        multi, fused = fused_pair(dataset, max_k=3)
+        crossed = 0
         for _ in range(20):
             rect = random_rect(rng, 1.0)
             words = rng.sample(range(1, 5), rng.randint(1, 2))
             outcomes = run_both(scalar, vectorized, rect, words)
             assert outcomes[0] == outcomes[1], (rect, words)
+            for more in (words, [1, 2], [4, 2, 3]):
+                if len(more) > 1:
+                    outcomes = run_fused_both(multi, fused, rect, more)
+                    assert outcomes[0] == outcomes[1], (rect, more)
+                served = run_queries(keywords_only, rect, more)
+                assert served[0] == served[1], (rect, more)
+                cost = served[0][2]
+                inside = cost["objects_examined"] + cost.get("structure_probes", 0)
+                for budget in range(inside):
+                    outcomes = run_queries(keywords_only, rect, more, budget)
+                    assert outcomes[0] == outcomes[1], (rect, more, budget)
+                    assert outcomes[0][1]["total"] == budget + 1
+                    crossed += 1
+        assert crossed > 1000, crossed
 
     def test_edges_match_the_scalar_path(self):
         dataset = workload_dataset("zipf", 0)
@@ -353,9 +401,8 @@ class TestStructuredOnlyOracle:
             assert counter.snapshot() == {"total": 0}
 
     def test_backend_without_the_tree_refuses_structured_queries(self):
-        backend = VectorizedBackend(workload_dataset("zipf", 0))
         with pytest.raises(ValidationError, match="kd-tree"):
-            backend.query_structured(Rect((0.0, 0.0), (1.0, 1.0)), [1])
+            VectorizedBackend(workload_dataset("zipf", 0), None)
 
     def test_traced_charges_match_untraced_and_sum_to_the_spans(self):
         dataset = workload_dataset("planted", 1)
@@ -417,19 +464,10 @@ def fused_pair(dataset: Dataset, max_k: int = 4):
 
 
 def run_fused_both(multi, backend, rect, words, budget=None, spent=0):
-    """``run_both`` for the fused strategy: ``OrpKwIndex.query`` for
+    """``run_queries`` for the fused strategy: ``OrpKwIndex.query`` for
     ``len(words)`` keywords against ``VectorizedBackend.query_fused``."""
-    outcomes = []
-    for query in (multi.fused_for(len(words)).query, backend.query_fused):
-        counter = CostCounter(budget=budget)
-        if spent:
-            counter.charge("comparisons", spent)
-        try:
-            ids = [obj.oid for obj in query(rect, words, counter)]
-            outcomes.append(("served", ids, counter.snapshot()))
-        except BudgetExceeded:
-            outcomes.append(("exceeded", counter.snapshot()))
-    return outcomes
+    queries = (multi.fused_for(len(words)).query, backend.query_fused)
+    return run_queries(queries, rect, words, budget, spent)
 
 
 def fused_charges(index, rect, words):
@@ -927,12 +965,13 @@ class TestReprolint:
 
 class TestVectorizedBackendUnit:
     def test_rejects_empty_keywords(self):
-        backend = VectorizedBackend(workload_dataset("zipf", 0))
+        backend = backend_for(workload_dataset("zipf", 0))
         with pytest.raises(ValidationError):
             backend.query_rect(Rect((0.0, 0.0), (1.0, 1.0)), [])
 
     def test_store_intersection_order_is_oid_sorted(self):
-        dataset = workload_dataset("zipf", 0)
-        store = ArrayStore(dataset)
-        oids = store.intersect([1, 2], CostCounter())
-        assert list(oids) == sorted(oids)
+        for dataset in (workload_dataset("zipf", 0), out_of_oid_order(random.Random(5))):
+            store = ArrayStore(dataset)
+            positions = store.intersect([1, 2], CostCounter())
+            oids = [dataset.objects[position].oid for position in positions.tolist()]
+            assert oids and oids == sorted(oids)
